@@ -275,13 +275,22 @@ def edge3_to_face4(m: RotationMap, ec: EdgeColoring) -> FaceColoring:
     _check_edge_domain(m, ec)
     for violation in _edge_violations(m, ec):
         raise ImproperEdgeColoring(violation.detail)
+    return _dual_xor_walk(m, {e: c.klein for e, c in ec.assignment.items()})
+
+
+def _dual_xor_walk(m: RotationMap, delta: dict[int, KleinColor]) -> FaceColoring:
+    """Face colors from per-edge color differences, spread over the dual.
+
+    The outer face (face 0) gets 00 and crossing edge e xors in delta[e];
+    path independence is checked, not assumed.
+    """
     colors: dict[int, KleinColor] = {0: KleinColor.C00}
     stack = [0]
     adj = _face_adjacency(m)
     while stack:
         f = stack.pop()
         for g, e in adj[f]:
-            want = colors[f] ^ ec[e].klein
+            want = colors[f] ^ delta[e]
             if g in colors:
                 if colors[g] != want:
                     raise Inconsistent(f"dual paths disagree at face {g}")
@@ -358,10 +367,10 @@ def parse_coloring(m: RotationMap, text: str) -> Union[FaceColoring, EdgeColorin
         kind, _, key = head.strip().partition(" ")
         value = value.strip()
         if kind == "face":
-            faces[int(key)] = KleinColor.parse(value)
+            faces[_parse_int(key, raw)] = KleinColor.parse(value)
         elif kind == "edge":
             u_s, _, v_s = key.strip().partition("-")
-            u, v = int(u_s) - 1, int(v_s) - 1
+            u, v = _parse_int(u_s, raw) - 1, _parse_int(v_s, raw) - 1
             pair = (min(u, v), max(u, v))
             k = pair_counts.get(pair, 0)
             pair_counts[pair] = k + 1
@@ -377,6 +386,13 @@ def parse_coloring(m: RotationMap, text: str) -> Union[FaceColoring, EdgeColorin
     if faces:
         return FaceColoring(faces, outer_face=0)
     return EdgeColoring(edges)
+
+
+def _parse_int(text: str, line: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ColoringError(f"bad integer in coloring line: {line!r}") from None
 
 
 def serialize_coloring(m: RotationMap,

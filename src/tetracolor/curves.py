@@ -256,7 +256,7 @@ def parse_curve_file(text: str) -> tuple[CurveSet, CurveSet]:
             raise CurveError(f"expected 'x y', got {line!r}")
         if section is None:
             raise CurveError("curve points outside any section")
-        pending.append(as_point(parts[0], parts[1]))
+        pending.append(_parse_point(parts[0], parts[1], line))
     flush()
     return (CurveSet(tuple(sets["blue"]), "blue"),
             CurveSet(tuple(sets["yellow"]), "yellow"))
@@ -272,5 +272,12 @@ def parse_sample_file(text: str) -> list[tuple[str, Point]]:
         parts = line.split()
         if len(parts) != 3:
             raise CurveError(f"expected 'label x y', got {line!r}")
-        out.append((parts[0], as_point(parts[1], parts[2])))
+        out.append((parts[0], _parse_point(parts[1], parts[2], line)))
     return out
+
+
+def _parse_point(x: str, y: str, line: str) -> Point:
+    try:
+        return as_point(x, y)
+    except (ValueError, ZeroDivisionError):
+        raise CurveError(f"bad coordinate in {line!r}") from None

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coloring import (EdgeColor, EdgeColoring, FaceColoring, KleinColor,
-                       _check_edge_domain)
+                       _check_edge_domain, _dual_xor_walk)
 from .planar_map import MapError, RotationMap
 
 
@@ -33,10 +33,6 @@ class ParityViolation(DsccError):
 
 class CoverageGap(DsccError):
     """An edge belongs to neither subgraph."""
-
-
-class Inconsistent(DsccError):
-    """Two dual paths disagree while recovering face colors."""
 
 
 @dataclass(frozen=True)
@@ -183,23 +179,7 @@ def dscc_to_face4(m: RotationMap, blue: EvenSubgraph,
         if not b and not y:
             raise CoverageGap(f"edge {e} lies in neither subgraph")
         deltas[e] = KleinColor((0b10 if b else 0) | (0b01 if y else 0))
-    colors: dict[int, KleinColor] = {0: KleinColor.C00}
-    stack = [0]
-    while stack:
-        f = stack.pop()
-        for d in m.faces[f].darts:
-            e = m.edge_id(d)
-            g = m.face_of(m.twin(d))
-            want = colors[f] ^ deltas[e]
-            if g in colors:
-                if colors[g] != want:
-                    raise Inconsistent(f"dual paths disagree at face {g}")
-            else:
-                colors[g] = want
-                stack.append(g)
-    if len(colors) != m.face_count:
-        raise Inconsistent("dual graph is disconnected")
-    return FaceColoring(dict(sorted(colors.items())), outer_face=0)
+    return _dual_xor_walk(m, deltas)
 
 
 # ---------------------------------------------------------------------------

@@ -18,15 +18,14 @@ import json
 import random
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterable, Iterator, Optional
 
 from .coloring import EdgeColor, find_tait_coloring, verify_coloring
-from .dscc import split_subgraphs, trail_decompose
-from .kempe import (ANOMALY_NO_TAIT, Inverted, KempeChain, Normalized,
-                    Pattern, ReductionTrace, Topology, _apply_permutation,
-                    find_chain, hub_pairing, invert_chain,
-                    replay_inversions, run_procedure)
+from .dscc import EvenSubgraph, trail_decompose
+from .kempe import (ANOMALY_NO_TAIT, Inverted, Pattern, ReductionTrace,
+                    Topology, find_chain, hub_pairing, replay_inversions,
+                    run_procedure)
 from .planar_map import MapError, RotationMap, parse_map, serialize_map, validate
 
 
@@ -244,15 +243,11 @@ def generate(config: GenConfig) -> Iterator[RotationMap]:
         emitted += 1
 
 
-def corpus(n_max: int, include_random: int = 0, seed: int = 0,
-           n_min: int = 4) -> list[RotationMap]:
+def corpus(n_max: int, n_min: int = 4) -> list[RotationMap]:
     """Exhaustive corpora for every even order n_min..n_max, concatenated."""
     maps: list[RotationMap] = []
     for n in range(n_min, n_max + 1, 2):
         maps.extend(generate(GenConfig(n)))
-    if include_random:
-        maps.extend(generate(GenConfig(n_max, mode="random",
-                                       count=include_random, seed=seed)))
     return maps
 
 
@@ -321,66 +316,44 @@ class ClaimReport:
         return not self.violations
 
 
+# process-wide, so a claim sweep runs each reduction once however many
+# claims read it; keyed by the map variant's text, from whose parse the
+# face and edge ids follow
 _trace_memo: dict[tuple[str, int, int], ReductionTrace] = {}
 
 
-def _traced(m: RotationMap, key: str, pentagon: int, edge: int) -> ReductionTrace:
-    memo_key = (key, pentagon, edge)
+def _traced(m: RotationMap, text: str, pentagon: int, edge: int) -> ReductionTrace:
+    memo_key = (text, pentagon, edge)
     if memo_key not in _trace_memo:
         _trace_memo[memo_key] = run_procedure(m, pentagon, deleted_edge=edge)
     return _trace_memo[memo_key]
 
 
-def reduction_instances(maps: Iterable[RotationMap], edge_policy: str = "all",
-                        mirrors: bool = True
-                        ) -> Iterator[tuple[RotationMap, str, int, int]]:
-    """(map, canonical key, pentagon face, deleted edge) sweep stream.
-
-    Mirrored copies are swept as well when requested: corpus dedup
-    identifies reflections, but the reduction's outcome can depend on the
-    orientation.
-    """
-    for base in maps:
-        variants = [(base, "")]
-        if mirrors:
-            # reserialize so a witness replayed from its map text makes the
-            # same deterministic choices (dart numbering fixes the solver)
-            variants.append((parse_map(serialize_map(base.mirrored()),
-                                       allow_parallel=True), "/mirror"))
-        for m, tag in variants:
-            key = canonical_form(m) + tag
-            for f in m.faces:
-                if len(f) != 5:
-                    continue
-                pentagon_edges = sorted({m.edge_id(d) for d in f.darts})
-                if edge_policy == "first":
-                    pentagon_edges = pentagon_edges[:1]
-                for e in pentagon_edges:
-                    yield m, key, f.id, e
-
-
-def check_claim(claim: str, maps: Iterable[RotationMap],
-                options: Optional[dict] = None) -> ClaimReport:
+def check_claim(claim: str, maps: Iterable[RotationMap]) -> ClaimReport:
     """Run one claim checker over a corpus and aggregate witnesses."""
     if claim not in CLAIM_IDS:
         raise UnknownClaim(f"claim {claim!r}; known: {', '.join(CLAIM_IDS)}")
-    options = dict(options or {})
     t0 = time.monotonic()
-    checker = {
-        "C1": _check_tait_colorable,
-        "C2": _check_pattern_law,
-        "C3": _check_chain_existence,
-        "C4": _check_inversion_safety,
-        "C5": _check_no_recurrence,
-        "C6": _check_always_expands,
-    }[claim]
-    report = checker(list(maps), options)
-    report.runtime = time.monotonic() - t0
-    report.config = {"claim": claim, "title": CLAIM_TITLES[claim], **options}
-    return report
+    if claim == "C1":
+        violations, instances = _check_tait_colorable(list(maps))
+    else:
+        judge = {
+            "C2": _judge_pattern_law,
+            "C3": _judge_chain_existence,
+            "C4": _judge_inversion_safety,
+            "C5": partial(_judge_no_recurrence, {}),
+            "C6": partial(_judge_always_expands, {}),
+        }[claim]
+        # C4..C6 sweep both orientations, so C4 validates every inversion
+        # that the disputed-step claims perform
+        violations, instances = _check_reductions(
+            list(maps), claim not in ("C2", "C3"), judge)
+    return ClaimReport(claim, len(instances), violations, time.monotonic() - t0,
+                       {"claim": claim, "title": CLAIM_TITLES[claim]}, instances)
 
 
-def _check_tait_colorable(maps: list[RotationMap], options: dict) -> ClaimReport:
+def _check_tait_colorable(maps: list[RotationMap]
+                          ) -> tuple[list[tuple[str, dict]], list[InstanceRecord]]:
     violations = []
     instances = []
     for m in maps:
@@ -390,185 +363,141 @@ def _check_tait_colorable(maps: list[RotationMap], options: dict) -> ClaimReport
         instances.append(InstanceRecord(key, {"n": m.vertex_count}, ok))
         if not ok:
             violations.append((serialize_map(m), {"reason": "no Tait coloring found"}))
-    return ClaimReport("C1", len(instances), violations, 0.0, {}, instances)
+    return violations, instances
 
 
-def _check_pattern_law(maps: list[RotationMap], options: dict) -> ClaimReport:
-    violations = []
-    instances = []
-    for m, key, pentagon, edge in reduction_instances(maps, mirrors=False):
-        tr = _traced(m, key, pentagon, edge)
-        detail = {"pentagon": pentagon, "edge": list(tr.deleted_edge),
-                  "n": m.vertex_count}
-        if tr.anomaly == ANOMALY_NO_TAIT:
-            detail["skipped"] = "smaller map has no Tait coloring"
-            instances.append(InstanceRecord(key, detail, True))
-            continue
-        words = [ev.word for ev in tr.events if isinstance(ev, Pattern)]
-        bad = [w for w in words
-               if sorted((w.count("B"), w.count("Y"), w.count("G"))) != [1, 1, 3]]
-        ok = not bad and bool(words)
-        detail["patterns"] = words
-        instances.append(InstanceRecord(key, detail, ok))
-        if not ok:
-            violations.append((tr.map_text, {"pentagon": pentagon,
-                                             "edge": list(tr.deleted_edge),
-                                             "bad_patterns": bad}))
-    return ClaimReport("C2", len(instances), violations, 0.0, {}, instances)
+Judgement = tuple[dict, bool, Optional[dict]]   # (detail, ok, witness)
 
 
-def _check_chain_existence(maps: list[RotationMap], options: dict) -> ClaimReport:
-    """Trail cycles through the hub must agree with chain walk pairings."""
-    violations = []
-    instances = []
-    for m, key, pentagon, edge in reduction_instances(maps, mirrors=False):
-        tr = _traced(m, key, pentagon, edge)
-        if tr.initial_coloring is None or tr.contracted_map is None:
-            instances.append(InstanceRecord(
-                key, {"pentagon": pentagon, "skipped": "no coloring"}, True))
-            continue
-        cmap, hub, ec = tr.contracted_map, tr.hub, tr.initial_coloring
-        if any(cmap.head(d) == hub for d in cmap.vertex_darts(hub)):
-            instances.append(InstanceRecord(
-                key, {"pentagon": pentagon, "skipped": "loop at hub"}, True))
-            continue
-        ok = True
-        checked = 0
-        for color in (EdgeColor.BLUE, EdgeColor.YELLOW):
-            pair = frozenset((color, EdgeColor.GREEN))
-            sub_edges = frozenset(e for e in cmap.edges() if ec[e] in pair)
-            hub_darts = [d for d in cmap.vertex_darts(hub) if ec[cmap.edge_id(d)] in pair]
-            if len(hub_darts) not in (0, 2, 4):
-                ok = False
-                break
-            if not hub_darts:
-                continue
-            partner = hub_pairing(cmap, ec, hub, pair)
-            from .dscc import EvenSubgraph
-            trails = trail_decompose(EvenSubgraph(sub_edges, color), cmap)
-            for t in trails:
-                hub_t = [d for d in t.darts if cmap.origin(d) == hub]
-                if len(hub_t) != 1 or not t.is_simple_cycle(cmap):
-                    continue  # premise needs a simple cycle through the hub
-                depart = hub_t[0]
-                arrive = cmap.twin(t.darts[(t.darts.index(depart) - 1) % len(t.darts)])
-                checked += 1
-                chain = find_chain(cmap, ec, cmap.edge_id(depart), pair)
-                if (partner[depart] != arrive
-                        or cmap.edge_id(arrive) not in chain.edges):
-                    ok = False
-        instances.append(InstanceRecord(
-            key, {"pentagon": pentagon, "cycles_checked": checked}, ok))
-        if not ok:
-            violations.append((tr.map_text, {"pentagon": pentagon,
-                                             "edge": list(tr.deleted_edge)}))
-    return ClaimReport("C3", len(instances), violations, 0.0, {}, instances)
+def _check_reductions(maps: list[RotationMap], mirrors: bool, judge
+                      ) -> tuple[list[tuple[str, dict]], list[InstanceRecord]]:
+    """Judge the trace of every (map, pentagon, deleted edge) instance.
 
-
-def _check_inversion_safety(maps: list[RotationMap], options: dict) -> ClaimReport:
-    """Replay every trace, validating parity and properness after each step.
-
-    Sweeps both orientations so its trace universe matches the disputed-step
-    sweep: every inversion any checker ever performs gets validated here.
+    Mirrored copies are swept as well when requested: corpus dedup
+    identifies reflections, but the reduction's outcome can depend on the
+    orientation.  ``judge(m, key, trace)`` returns the instance's detail
+    row, its verdict and the witness data, which is read only for a
+    violation.
     """
     violations = []
     instances = []
-    for m, key, pentagon, edge in reduction_instances(maps, mirrors=True):
-        tr = _traced(m, key, pentagon, edge)
-        if tr.initial_coloring is None:
-            instances.append(InstanceRecord(
-                key, {"pentagon": pentagon, "skipped": "no coloring"}, True))
-            continue
-        cmap, hub = tr.contracted_map, tr.hub
-        ec = tr.initial_coloring
-        ok = True
-        steps = 0
-        for ev in tr.events:
-            if isinstance(ev, Normalized):
-                ec = _apply_permutation(ec, {EdgeColor.parse(a): EdgeColor.parse(b)
-                                             for a, b in ev.permutation})
-            elif isinstance(ev, Inverted):
-                pair = frozenset(EdgeColor.parse(ch) for ch in ev.pair)
-                ec = invert_chain(ec, KempeChain(cmap, pair,
-                                                 frozenset(ev.edges), maximal=False))
-                steps += 1
-            else:
-                continue
-            try:
-                split_subgraphs(cmap, ec)
-            except MapError:
-                ok = False
-                break
-            bad_vertex = any(
-                len({ec[cmap.edge_id(d)] for d in cmap.vertex_darts(v)}) != 3
-                for v in range(cmap.vertex_count) if v != hub and cmap.degree(v) == 3)
-            if bad_vertex:
-                ok = False
-                break
-        ok = ok and replay_inversions(tr)
-        instances.append(InstanceRecord(
-            key, {"pentagon": pentagon, "inversions": steps}, ok))
-        if not ok:
-            violations.append((tr.map_text, {"pentagon": pentagon,
-                                             "edge": list(tr.deleted_edge)}))
-    return ClaimReport("C4", len(instances), violations, 0.0, {}, instances)
+    for base in maps:
+        variants = [(base, serialize_map(base), "")]
+        if mirrors:
+            # reparse so a witness replayed from its map text makes the
+            # same deterministic choices (dart numbering fixes the solver)
+            text = serialize_map(base.mirrored())
+            variants.append((parse_map(text, allow_parallel=True), text, "/mirror"))
+        for m, text, tag in variants:
+            key = canonical_form(m) + tag
+            for f in m.faces:
+                if len(f) != 5:
+                    continue
+                for e in sorted({m.edge_id(d) for d in f.darts}):
+                    tr = _traced(m, text, f.id, e)
+                    detail, ok, witness = judge(m, key, tr)
+                    instances.append(InstanceRecord(key, detail, ok))
+                    if not ok:
+                        violations.append((tr.map_text, witness))
+    return violations, instances
 
 
-def _check_no_recurrence(maps: list[RotationMap], options: dict) -> ClaimReport:
-    violations = []
-    instances = []
-    three_conn: dict[str, bool] = {}
-    for m, key, pentagon, edge in reduction_instances(maps, mirrors=True):
-        tr = _traced(m, key, pentagon, edge)
-        if key not in three_conn:
-            three_conn[key] = is_three_connected(m)
-        seq = []
-        after_l2 = False
-        recurrence = False
-        for ev in tr.events:
-            if isinstance(ev, Topology):
-                seq.append(ev.label)
-                if after_l2 and ev.label in ("T1", "T1p"):
-                    recurrence = True
-                after_l2 = False
-            elif isinstance(ev, Inverted) and ev.inversion == "L2":
-                after_l2 = True
-        detail = {"pentagon": pentagon, "edge": list(tr.deleted_edge),
-                  "topologies": seq, "anomaly": tr.anomaly,
-                  "succeeded": tr.succeeded,
-                  "three_connected": three_conn[key]}
-        ok = not recurrence
-        instances.append(InstanceRecord(key, detail, ok))
-        if not ok:
-            violations.append((tr.map_text, {**detail,
-                                             "trace": tr.to_jsonl()}))
-    return ClaimReport("C5", len(instances), violations, 0.0, {}, instances)
+def _judge_pattern_law(m: RotationMap, key: str, tr: ReductionTrace) -> Judgement:
+    detail = {"pentagon": tr.pentagon, "edge": list(tr.deleted_edge),
+              "n": m.vertex_count}
+    if tr.anomaly == ANOMALY_NO_TAIT:
+        detail["skipped"] = "smaller map has no Tait coloring"
+        return detail, True, None
+    words = [ev.word for ev in tr.events if isinstance(ev, Pattern)]
+    bad = [w for w in words
+           if sorted((w.count("B"), w.count("Y"), w.count("G"))) != [1, 1, 3]]
+    detail["patterns"] = words
+    return detail, not bad and bool(words), {
+        "pentagon": tr.pentagon, "edge": list(tr.deleted_edge), "bad_patterns": bad}
 
 
-def _check_always_expands(maps: list[RotationMap], options: dict) -> ClaimReport:
-    violations = []
-    instances = []
-    three_conn: dict[str, bool] = {}
-    for m, key, pentagon, edge in reduction_instances(maps, mirrors=True):
-        tr = _traced(m, key, pentagon, edge)
-        if key not in three_conn:
-            three_conn[key] = is_three_connected(m)
-        detail = {"pentagon": pentagon, "edge": list(tr.deleted_edge),
-                  "anomaly": tr.anomaly, "three_connected": three_conn[key]}
-        if tr.succeeded:
-            # no silent acceptance: re-verify the expanded coloring
-            parent, full = tr.result
-            ok = not verify_coloring(parent, full)
-        else:
+def _judge_chain_existence(m: RotationMap, key: str, tr: ReductionTrace) -> Judgement:
+    """Trail cycles through the hub must agree with chain walk pairings."""
+    if tr.initial_coloring is None or tr.contracted_map is None:
+        return {"pentagon": tr.pentagon, "skipped": "no coloring"}, True, None
+    cmap, hub, ec = tr.contracted_map, tr.hub, tr.initial_coloring
+    if any(cmap.head(d) == hub for d in cmap.vertex_darts(hub)):
+        return {"pentagon": tr.pentagon, "skipped": "loop at hub"}, True, None
+    ok = True
+    checked = 0
+    for color in (EdgeColor.BLUE, EdgeColor.YELLOW):
+        pair = frozenset((color, EdgeColor.GREEN))
+        sub_edges = frozenset(e for e in cmap.edges() if ec[e] in pair)
+        hub_darts = [d for d in cmap.vertex_darts(hub) if ec[cmap.edge_id(d)] in pair]
+        if len(hub_darts) not in (0, 2, 4):
             ok = False
-        if tr.anomaly == ANOMALY_NO_TAIT:
-            # the premise (a colorable smaller map) fails; record, don't blame
-            detail["skipped"] = "smaller map has no Tait coloring"
-            ok = True
-        instances.append(InstanceRecord(key, detail, ok))
-        if not ok:
-            violations.append((tr.map_text, {**detail, "trace": tr.to_jsonl()}))
-    return ClaimReport("C6", len(instances), violations, 0.0, {}, instances)
+            break
+        if not hub_darts:
+            continue
+        partner = hub_pairing(cmap, ec, hub, pair)
+        trails = trail_decompose(EvenSubgraph(sub_edges, color), cmap)
+        for t in trails:
+            hub_t = [d for d in t.darts if cmap.origin(d) == hub]
+            if len(hub_t) != 1 or not t.is_simple_cycle(cmap):
+                continue  # premise needs a simple cycle through the hub
+            depart = hub_t[0]
+            arrive = cmap.twin(t.darts[(t.darts.index(depart) - 1) % len(t.darts)])
+            checked += 1
+            chain = find_chain(cmap, ec, cmap.edge_id(depart), pair)
+            if (partner[depart] != arrive
+                    or cmap.edge_id(arrive) not in chain.edges):
+                ok = False
+    return ({"pentagon": tr.pentagon, "cycles_checked": checked}, ok,
+            {"pentagon": tr.pentagon, "edge": list(tr.deleted_edge)})
+
+
+def _judge_inversion_safety(m: RotationMap, key: str, tr: ReductionTrace) -> Judgement:
+    """Replay the trace, validating parity and properness after each step."""
+    if tr.initial_coloring is None:
+        return {"pentagon": tr.pentagon, "skipped": "no coloring"}, True, None
+    return ({"pentagon": tr.pentagon, "inversions": len(tr.inversions)},
+            replay_inversions(tr),
+            {"pentagon": tr.pentagon, "edge": list(tr.deleted_edge)})
+
+
+def _judge_no_recurrence(three_conn: dict[str, bool], m: RotationMap, key: str,
+                         tr: ReductionTrace) -> Judgement:
+    if key not in three_conn:
+        three_conn[key] = is_three_connected(m)
+    seq = []
+    after_l2 = False
+    recurrence = False
+    for ev in tr.events:
+        if isinstance(ev, Topology):
+            seq.append(ev.label)
+            if after_l2 and ev.label in ("T1", "T1p"):
+                recurrence = True
+            after_l2 = False
+        elif isinstance(ev, Inverted) and ev.inversion == "L2":
+            after_l2 = True
+    detail = {"pentagon": tr.pentagon, "edge": list(tr.deleted_edge),
+              "topologies": seq, "anomaly": tr.anomaly,
+              "succeeded": tr.succeeded,
+              "three_connected": three_conn[key]}
+    if recurrence:
+        return detail, False, {**detail, "trace": tr.to_jsonl()}
+    return detail, True, None
+
+
+def _judge_always_expands(three_conn: dict[str, bool], m: RotationMap, key: str,
+                          tr: ReductionTrace) -> Judgement:
+    if key not in three_conn:
+        three_conn[key] = is_three_connected(m)
+    detail = {"pentagon": tr.pentagon, "edge": list(tr.deleted_edge),
+              "anomaly": tr.anomaly, "three_connected": three_conn[key]}
+    if tr.anomaly == ANOMALY_NO_TAIT:
+        # the premise (a colorable smaller map) fails; record, don't blame
+        detail["skipped"] = "smaller map has no Tait coloring"
+        return detail, True, None
+    # no silent acceptance: re-verify the expanded coloring
+    if tr.succeeded and not verify_coloring(*tr.result):
+        return detail, True, None
+    return detail, False, {**detail, "trace": tr.to_jsonl()}
 
 
 # ---------------------------------------------------------------------------

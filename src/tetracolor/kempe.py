@@ -25,6 +25,7 @@ from typing import Optional, Union
 
 from .coloring import (EDGE_ORDER, EdgeColor, EdgeColoring, find_tait_coloring,
                        verify_coloring)
+from .dscc import split_subgraphs
 from .planar_map import (ContractionRecord, MapError, RotationMap,
                          SuppressionRecord, contract_face,
                          delete_edge_suppress, serialize_map, validate)
@@ -697,14 +698,16 @@ def _serialize_ec(m: RotationMap, ec: EdgeColoring) -> str:
 def replay_inversions(trace: ReductionTrace) -> bool:
     """Re-apply the recorded recolorings to the recorded start state.
 
-    True iff the replayed coloring matches the trace's final coloring
-    exactly; traces without a start state (no Tait coloring) replay
-    vacuously.
+    True iff every intermediate coloring keeps even parity in both
+    two-colored subgraphs and stays proper at every 3-valent vertex other
+    than the hub, and the replayed coloring matches the trace's final
+    coloring exactly; traces without a start state (no Tait coloring)
+    replay vacuously.
     """
     if trace.initial_coloring is None or trace.contracted_map is None:
         return True
     ec = trace.initial_coloring
-    m = trace.contracted_map
+    m, hub = trace.contracted_map, trace.hub
     for ev in trace.events:
         if isinstance(ev, Normalized):
             perm = {EdgeColor.parse(a): EdgeColor.parse(b)
@@ -714,6 +717,15 @@ def replay_inversions(trace: ReductionTrace) -> bool:
             pair = frozenset(EdgeColor.parse(ch) for ch in ev.pair)
             ec = invert_chain(ec, KempeChain(m, pair, frozenset(ev.edges),
                                              maximal=False))
+        else:
+            continue
+        try:
+            split_subgraphs(m, ec)
+        except MapError:
+            return False
+        if any(len({ec[m.edge_id(d)] for d in m.vertex_darts(v)}) != 3
+               for v in range(m.vertex_count) if v != hub and m.degree(v) == 3):
+            return False
     return ec == trace.final_coloring
 
 

@@ -55,16 +55,6 @@ class DegenerateSurgery(MapError):
 
 
 @dataclass(frozen=True)
-class Dart:
-    """One half of an edge, anchored at its origin vertex."""
-
-    id: int
-    twin: int
-    origin: int
-    next_at_vertex: int
-
-
-@dataclass(frozen=True)
 class Face:
     """A face boundary walk, as the cyclic dart sequence of its orbit."""
 
@@ -194,13 +184,6 @@ class RotationMap:
     def next(self, d: int) -> int:
         return self._next[d]
 
-    def dart(self, d: int) -> Dart:
-        return Dart(d, self._twin[d], self._origin[d], self._next[d])
-
-    @property
-    def darts(self) -> tuple[Dart, ...]:
-        return tuple(self.dart(d) for d in range(self.dart_count))
-
     def vertex_darts(self, v: int) -> tuple[int, ...]:
         """Darts leaving v, in clockwise rotation order from the least."""
         return self._vertex_darts[v]
@@ -235,9 +218,6 @@ class RotationMap:
         if best is None:
             raise MapError(f"no edge between {u} and {v}")
         return best
-
-    def is_loop(self, e: int) -> bool:
-        return self._origin[e] == self._origin[self._twin[e]]
 
     def neighbor_lists(self) -> list[list[int]]:
         return [[self.head(d) for d in self._vertex_darts[v]]
@@ -440,11 +420,6 @@ def serialize_map(m: RotationMap) -> str:
     return "\n".join(out) + "\n"
 
 
-def derive_faces(m: RotationMap) -> tuple[Face, ...]:
-    """The face boundary walks of the rotation system."""
-    return m.faces
-
-
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
@@ -597,16 +572,13 @@ def delete_edge_suppress(m: RotationMap, edge: int) -> RotationMap:
 
     new_twin, new_origin, new_next, nverts, dmap, _ = _compact(
         twin, origin, nxt, vertex_alive)
-    child = RotationMap(new_twin, new_origin, new_next, nverts,
-                        allow_parallel=True)
+    # child edge ids are the smaller dart of each pair, as edge_id gives them;
+    # a spliced parent edge survives through one of its two darts
     edge_map: dict[int, int] = {}
     for e in m.edges():
-        if e == edge:
-            continue
-        if e in dmap:
-            edge_map[e] = child.edge_id(dmap[e])
-        else:
-            edge_map[e] = child.edge_id(dmap[m.twin(e)])
+        if e != edge:
+            d = dmap[e if e in dmap else m.twin(e)]
+            edge_map[e] = min(d, new_twin[d])
     record = SuppressionRecord(parent=m, deleted_edge=edge,
                                suppressed_vertices=(u, v),
                                edge_map=edge_map, dart_map=dmap)
@@ -679,12 +651,7 @@ def contract_face(m: RotationMap, face_id: int) -> tuple[RotationMap, int]:
     new_twin, new_origin, new_next, nverts, dmap, vmap = _compact(
         twin, origin, nxt, vertex_alive)
     hub = vmap[hub_old]
-    child = RotationMap(new_twin, new_origin, new_next, nverts,
-                        allow_parallel=True)
-    edge_map = {}
-    for e in m.edges():
-        if e in dmap:
-            edge_map[child.edge_id(dmap[e])] = e
+    edge_map = {min(dmap[e], new_twin[dmap[e]]): e for e in m.edges() if e in dmap}
     record = ContractionRecord(parent=m, face_id=face_id, hub=hub,
                                boundary_vertices=bverts,
                                boundary_darts=tuple(walk),

@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from tetracolor.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -107,3 +109,26 @@ def test_reduce_svg_highlights_hub_and_tints_edges(tmp_path):
     assert "#c0392b" in content          # hub highlight
     assert "#1f5fbf" in content          # blue-tinted strokes
     assert "#d4a017" in content and "#2e8b57" in content
+
+
+@pytest.mark.parametrize("line", ["face x: 00", "edge a-2: B", "edge 1: B"])
+def test_dscc_malformed_coloring_exit_code(tmp_path, capsys, line):
+    coloring = tmp_path / "bad.col"
+    coloring.write_text(line + "\n")
+    assert main(["dscc", DODECA, str(coloring)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("curves_text,samples_text", [
+    ("[blue]\n1 abc\n", "a 1 1\n"),
+    ("[blue]\ncurve\n0 0\n4 0\n4 4\n", "a 1 abc\n"),
+    ("[blue]\ncurve\n0 0\n4 0\n4 4\n", "a 1/0 1\n"),
+])
+def test_curves_malformed_point_exit_code(tmp_path, capsys, curves_text,
+                                          samples_text):
+    curves = tmp_path / "c.curves"
+    curves.write_text(curves_text)
+    samples = tmp_path / "c.samples"
+    samples.write_text(samples_text)
+    assert main(["curves", "classify", str(curves), str(samples)]) == 2
+    assert "error:" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 
 import pytest
 
@@ -192,6 +193,26 @@ class TestCheckClaim:
     def test_c6_reports_recurrence_instances(self, recurrence14):
         report = check_claim("C6", [recurrence14])
         assert not report.ok
+
+    def test_c5_report_ignores_earlier_isomorphic_maps(self, recurrence14):
+        # a relabelled copy is isomorphic to the witness map but numbered
+        # differently, so its reductions start elsewhere and must not reuse
+        # the original's traces
+        from tetracolor import harness
+        lists = recurrence14.neighbor_lists()
+        perm = list(range(len(lists)))
+        random.Random(7).shuffle(perm)
+        new = [None] * len(lists)
+        for v, row in enumerate(lists):
+            new[perm[v]] = [perm[w] for w in row]
+        relabelled = parse_map(serialize_map(from_neighbor_lists(new)))
+        harness._trace_memo.clear()
+        fresh = check_claim("C5", [relabelled])
+        harness._trace_memo.clear()
+        check_claim("C5", [recurrence14])
+        after = check_claim("C5", [relabelled])
+        assert after.violations == fresh.violations
+        assert emit_report(after, "csv") == emit_report(fresh, "csv")
 
     def test_checkers_do_not_mutate_maps(self, corpus12):
         before = [serialize_map(m) for m in corpus12]

@@ -8,7 +8,7 @@ from tetracolor.coloring import (EdgeColor, find_tait_coloring,
                                  verify_coloring)
 from tetracolor.harness import GenConfig, generate
 from tetracolor.kempe import (ANOMALY_TOPOLOGY_RECURRENCE,
-                              Contracted, DegreeMismatch, MissingJournal,
+                              Contracted, DegreeMismatch, Inverted, MissingJournal,
                               NoPentagon, Pattern, PatternNotAllowed,
                               PreconditionPattern, SeedColorMismatch,
                               Topology, TopologyClass,
@@ -325,6 +325,22 @@ def test_budget_anomaly_on_tiny_budget(recurrence14):
     assert tr.anomaly == "budget-exhausted"
     assert not tr.succeeded
     assert replay_inversions(tr)
+
+
+def test_replay_rejects_an_improper_intermediate_state(dodecahedron):
+    # inverting one edge away from the hub twice restores the coloring, so
+    # only the per-step properness check can catch the bogus steps
+    import dataclasses
+    tr = run_procedure(dodecahedron, 0)
+    cmap, ec = tr.contracted_map, tr.initial_coloring
+    e = next(e for e in cmap.edges()
+             if ec[e] in BY and tr.hub not in cmap.edge_endpoints(e))
+    flip = Inverted(inversion="auxiliary", pair="BY", seed_dart=e,
+                    edges=(e,), word_after="")
+    bogus = dataclasses.replace(
+        tr, events=(tr.events[0], flip, flip) + tr.events[1:])
+    assert replay_inversions(tr)
+    assert not replay_inversions(bogus)
 
 
 def test_golden_trace_serialization(recurrence14):

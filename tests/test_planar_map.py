@@ -7,7 +7,7 @@ from tetracolor.planar_map import (BridgeDeletion, DuplicateNeighbor,
                                    MalformedInput, NonReciprocal,
                                    NonSimpleBoundary, UnknownFace,
                                    contract_face, delete_edge_suppress,
-                                   derive_faces, from_neighbor_lists,
+                                   from_neighbor_lists,
                                    parse_map, serialize_map, undo_contract,
                                    undo_suppress, validate)
 from conftest import K4_TEXT
@@ -59,7 +59,7 @@ class TestParse:
 
 class TestFaces:
     def test_k4_triangles(self, k4):
-        assert sorted(len(f) for f in derive_faces(k4)) == [3, 3, 3, 3]
+        assert sorted(len(f) for f in k4.faces) == [3, 3, 3, 3]
 
     def test_four_cycle_two_quads(self, four_cycle):
         assert sorted(len(f) for f in four_cycle.faces) == [4, 4]
