@@ -87,6 +87,8 @@ def cmd_reduce(args) -> int:
             print("map has no pentagonal face", file=sys.stderr)
             return 2
         pentagon = pentagons[0]
+    elif not 0 <= pentagon < m.face_count:
+        raise pm.UnknownFace(f"face {pentagon} out of range")
     if args.edge_policy == "all":
         edges = sorted({m.edge_id(d) for d in m.faces[pentagon].darts})
     else:
@@ -125,6 +127,10 @@ def cmd_gen(args) -> int:
 def cmd_claim(args) -> int:
     if args.maps:
         maps = [pm.parse_map(_read(path)) for path in args.maps]
+        for path, m in zip(args.maps, maps):
+            if not pm.validate(m).all_ok:
+                raise har.HarnessError(
+                    f"{path}: not a connected simple cubic bridgeless planar map")
     else:
         maps = har.corpus(args.n_max)
     report = har.check_claim(args.claim, maps)

@@ -18,7 +18,7 @@ import json
 import random
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Iterable, Iterator, Optional
 
 from .coloring import EdgeColor, find_tait_coloring, verify_coloring
@@ -180,7 +180,7 @@ def insert_edge_across_face(m: RotationMap, face_id: int,
     nxt[h] = b_cont
     nxt[b_cont] = t2_y
 
-    child = RotationMap(twin, origin, nxt, nverts, allow_parallel=True)
+    child = RotationMap(twin, origin, nxt, nverts)
     assert child.vertex_count - child.edge_count + child.face_count == 2
     assert child.face_count == m.face_count + 1
     return child
@@ -220,9 +220,9 @@ def generate(config: GenConfig) -> Iterator[RotationMap]:
     if config.mode == "exhaustive":
         for _, text in _exhaustive_level(config.vertex_count):
             m = parse_map(text, allow_parallel=True)
-            if validate(m).simple:
-                m = parse_map(text)  # reparse strictly; journal-free, simple
-                assert validate(m).all_ok
+            report = validate(m)
+            if report.simple:
+                assert report.all_ok
                 yield m
         return
     rng = random.Random(config.seed)
@@ -252,29 +252,14 @@ def corpus(n_max: int, n_min: int = 4) -> list[RotationMap]:
 
 
 def is_three_connected(m: RotationMap) -> bool:
-    """For a bridgeless cubic map: no 2-edge-cut, i.e. removing any single
-    edge leaves the rest bridge-free."""
-    from .planar_map import find_bridges
-    for e in m.edges():
-        d0, d1 = e, m.twin(e)
-        keep = [d for d in range(m.dart_count) if d not in (d0, d1)]
-        dmap = {d: i for i, d in enumerate(keep)}
-        twin = [dmap[m.twin(d)] for d in keep]
-        origin = [m.origin(d) for d in keep]
-        nxt = []
-        for d in keep:
-            cur = m.next(d)
-            while cur in (d0, d1):
-                cur = m.next(cur)
-            nxt.append(dmap[cur])
-        try:
-            sub = RotationMap(twin, origin, nxt, m.vertex_count,
-                              allow_parallel=True)
-        except MapError:
-            return False  # a vertex lost its whole rotation: degree-1 remnant
-        if find_bridges(sub):
-            return False
-    return True
+    """For a connected cubic map: no bridge and no 2-edge-cut.
+
+    A minimal edge cut of a plane map is a cycle of its dual, so a bridge
+    has the same face on both sides and two edges form a cut exactly when
+    they separate the same pair of faces.
+    """
+    sides = [frozenset((m.face_of(e), m.face_of(m.twin(e)))) for e in m.edges()]
+    return all(len(s) == 2 for s in sides) and len(set(sides)) == len(sides)
 
 
 # ---------------------------------------------------------------------------
@@ -341,8 +326,8 @@ def check_claim(claim: str, maps: Iterable[RotationMap]) -> ClaimReport:
             "C2": _judge_pattern_law,
             "C3": _judge_chain_existence,
             "C4": _judge_inversion_safety,
-            "C5": partial(_judge_no_recurrence, {}),
-            "C6": partial(_judge_always_expands, {}),
+            "C5": _judge_no_recurrence,
+            "C6": _judge_always_expands,
         }[claim]
         # C4..C6 sweep both orientations, so C4 validates every inversion
         # that the disputed-step claims perform
@@ -375,34 +360,35 @@ def _check_reductions(maps: list[RotationMap], mirrors: bool, judge
 
     Mirrored copies are swept as well when requested: corpus dedup
     identifies reflections, but the reduction's outcome can depend on the
-    orientation.  ``judge(m, key, trace)`` returns the instance's detail
+    orientation.  ``judge(m, trace)`` returns the instance's detail
     row, its verdict and the witness data, which is read only for a
     violation.
     """
     violations = []
     instances = []
     for base in maps:
-        variants = [(base, serialize_map(base), "")]
+        variants = [(serialize_map(base), "")]
         if mirrors:
-            # reparse so a witness replayed from its map text makes the
-            # same deterministic choices (dart numbering fixes the solver)
-            text = serialize_map(base.mirrored())
-            variants.append((parse_map(text, allow_parallel=True), text, "/mirror"))
-        for m, text, tag in variants:
+            variants.append((serialize_map(base.mirrored()), "/mirror"))
+        for text, tag in variants:
+            # reduce the parse of the text, so an instance is (text, face,
+            # edge): the dart numbering fixes the solver's choices, and a
+            # witness replayed from its text makes the same ones
+            m = parse_map(text, allow_parallel=True)
             key = canonical_form(m) + tag
             for f in m.faces:
                 if len(f) != 5:
                     continue
                 for e in sorted({m.edge_id(d) for d in f.darts}):
                     tr = _traced(m, text, f.id, e)
-                    detail, ok, witness = judge(m, key, tr)
+                    detail, ok, witness = judge(m, tr)
                     instances.append(InstanceRecord(key, detail, ok))
                     if not ok:
                         violations.append((tr.map_text, witness))
     return violations, instances
 
 
-def _judge_pattern_law(m: RotationMap, key: str, tr: ReductionTrace) -> Judgement:
+def _judge_pattern_law(m: RotationMap, tr: ReductionTrace) -> Judgement:
     detail = {"pentagon": tr.pentagon, "edge": list(tr.deleted_edge),
               "n": m.vertex_count}
     if tr.anomaly == ANOMALY_NO_TAIT:
@@ -416,7 +402,7 @@ def _judge_pattern_law(m: RotationMap, key: str, tr: ReductionTrace) -> Judgemen
         "pentagon": tr.pentagon, "edge": list(tr.deleted_edge), "bad_patterns": bad}
 
 
-def _judge_chain_existence(m: RotationMap, key: str, tr: ReductionTrace) -> Judgement:
+def _judge_chain_existence(m: RotationMap, tr: ReductionTrace) -> Judgement:
     """Trail cycles through the hub must agree with chain walk pairings."""
     if tr.initial_coloring is None or tr.contracted_map is None:
         return {"pentagon": tr.pentagon, "skipped": "no coloring"}, True, None
@@ -451,7 +437,7 @@ def _judge_chain_existence(m: RotationMap, key: str, tr: ReductionTrace) -> Judg
             {"pentagon": tr.pentagon, "edge": list(tr.deleted_edge)})
 
 
-def _judge_inversion_safety(m: RotationMap, key: str, tr: ReductionTrace) -> Judgement:
+def _judge_inversion_safety(m: RotationMap, tr: ReductionTrace) -> Judgement:
     """Replay the trace, validating parity and properness after each step."""
     if tr.initial_coloring is None:
         return {"pentagon": tr.pentagon, "skipped": "no coloring"}, True, None
@@ -460,10 +446,7 @@ def _judge_inversion_safety(m: RotationMap, key: str, tr: ReductionTrace) -> Jud
             {"pentagon": tr.pentagon, "edge": list(tr.deleted_edge)})
 
 
-def _judge_no_recurrence(three_conn: dict[str, bool], m: RotationMap, key: str,
-                         tr: ReductionTrace) -> Judgement:
-    if key not in three_conn:
-        three_conn[key] = is_three_connected(m)
+def _judge_no_recurrence(m: RotationMap, tr: ReductionTrace) -> Judgement:
     seq = []
     after_l2 = False
     recurrence = False
@@ -478,18 +461,15 @@ def _judge_no_recurrence(three_conn: dict[str, bool], m: RotationMap, key: str,
     detail = {"pentagon": tr.pentagon, "edge": list(tr.deleted_edge),
               "topologies": seq, "anomaly": tr.anomaly,
               "succeeded": tr.succeeded,
-              "three_connected": three_conn[key]}
+              "three_connected": is_three_connected(m)}
     if recurrence:
         return detail, False, {**detail, "trace": tr.to_jsonl()}
     return detail, True, None
 
 
-def _judge_always_expands(three_conn: dict[str, bool], m: RotationMap, key: str,
-                          tr: ReductionTrace) -> Judgement:
-    if key not in three_conn:
-        three_conn[key] = is_three_connected(m)
+def _judge_always_expands(m: RotationMap, tr: ReductionTrace) -> Judgement:
     detail = {"pentagon": tr.pentagon, "edge": list(tr.deleted_edge),
-              "anomaly": tr.anomaly, "three_connected": three_conn[key]}
+              "anomaly": tr.anomaly, "three_connected": is_three_connected(m)}
     if tr.anomaly == ANOMALY_NO_TAIT:
         # the premise (a colorable smaller map) fails; record, don't blame
         detail["skipped"] = "smaller map has no Tait coloring"

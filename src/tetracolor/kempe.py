@@ -27,8 +27,8 @@ from .coloring import (EDGE_ORDER, EdgeColor, EdgeColoring, find_tait_coloring,
                        verify_coloring)
 from .dscc import split_subgraphs
 from .planar_map import (ContractionRecord, MapError, RotationMap,
-                         SuppressionRecord, contract_face,
-                         delete_edge_suppress, serialize_map, validate)
+                         contract_face, delete_edge_suppress, serialize_map,
+                         validate)
 
 
 class KempeError(MapError):
@@ -53,10 +53,6 @@ class UnclassifiedTopology(KempeError):
 
 class DegreeMismatch(KempeError):
     """Hub degree is not five."""
-
-
-class MissingJournal(KempeError):
-    """No contraction journal available to restore the pentagon."""
 
 
 class NoPentagon(KempeError):
@@ -316,22 +312,18 @@ def classify_topology(m: RotationMap, ec: EdgeColoring, hub: int,
 # pentagon expansion
 # ---------------------------------------------------------------------------
 
-def expand_vertex(m: RotationMap, ec: EdgeColoring, hub: int
+def expand_vertex(m: RotationMap, ec: EdgeColoring, record: ContractionRecord
                   ) -> Optional[tuple[RotationMap, EdgeColoring]]:
     """Restore the contracted pentagon and extend the coloring onto it.
 
-    Every edge that survived the contraction keeps its color; the five
-    pentagon boundary edges are assigned by exhaustive search over proper
-    local extensions.  Returns None when no extension exists, which is
-    exactly the non-tbci situation.
+    ``m`` is the map contract_face returned with ``record``.  Every edge
+    that survived the contraction keeps its color; the five pentagon
+    boundary edges are assigned by exhaustive search over proper local
+    extensions.  Returns None when no extension exists, which is exactly
+    the non-tbci situation.
     """
-    if m.degree(hub) != 5:
-        raise DegreeMismatch(f"hub degree is {m.degree(hub)}, want 5")
-    if not m.journal or not isinstance(m.journal[-1], ContractionRecord):
-        raise MissingJournal("map carries no contraction record")
-    record: ContractionRecord = m.journal[-1]
-    if record.hub != hub:
-        raise MissingJournal(f"journal contraction is for hub {record.hub}, not {hub}")
+    if m.degree(record.hub) != 5:
+        raise DegreeMismatch(f"hub degree is {m.degree(record.hub)}, want 5")
     parent = record.parent
 
     colors: dict[int, EdgeColor] = {}
@@ -354,14 +346,8 @@ def expand_vertex(m: RotationMap, ec: EdgeColoring, hub: int
         e = boundary[i]
         for c in EDGE_ORDER:
             colors[e] = c
-            u, v = parent.edge_endpoints(e)
-            partial_ok = True
-            for w in (u, v):
-                cs = [colors[x] for x in vert_edges[w] if x in colors]
-                if len(cs) != len(set(cs)):
-                    partial_ok = False
-                    break
-            if partial_ok and assign(i + 1):
+            if (all(consistent(w) for w in parent.edge_endpoints(e))
+                    and assign(i + 1)):
                 return True
             del colors[e]
         return False
@@ -511,20 +497,17 @@ def _apply_permutation(ec: EdgeColoring,
     return EdgeColoring({e: perm.get(c, c) for e, c in ec.assignment.items()})
 
 
-def _transfer_coloring(cmap: RotationMap, small: RotationMap,
+def _transfer_coloring(contracted_edges: dict[int, int],
+                       small_edges: dict[int, int],
                        ec_small: EdgeColoring) -> EdgeColoring:
     """Pull the smaller map's coloring onto the contracted map.
 
-    The contraction journal maps contracted-map edges to original edges;
-    the suppression journal on the smaller map sends each surviving
-    original edge to the smaller-map edge that carries it.
+    ``contracted_edges`` maps contracted-map edges to original edges;
+    ``small_edges`` sends each surviving original edge to the smaller-map
+    edge that carries it.
     """
-    contraction: ContractionRecord = cmap.journal[-1]
-    suppression: SuppressionRecord = small.journal[-1]
-    assignment: dict[int, EdgeColor] = {}
-    for child_edge, parent_edge in contraction.edge_map.items():
-        assignment[child_edge] = ec_small[suppression.edge_map[parent_edge]]
-    return EdgeColoring(assignment)
+    return EdgeColoring({child_edge: ec_small[small_edges[parent_edge]]
+                         for child_edge, parent_edge in contracted_edges.items()})
 
 
 def run_procedure(n_map: RotationMap, pentagon: int,
@@ -561,8 +544,9 @@ def run_procedure(n_map: RotationMap, pentagon: int,
         raise NoPentagon(f"edge {deleted_edge} is not on face {pentagon}")
     deleted_edge = n_map.edge_id(deleted_edge)
 
-    small = delete_edge_suppress(n_map, deleted_edge)
-    cmap, hub = contract_face(n_map, pentagon)
+    small, small_edges = delete_edge_suppress(n_map, deleted_edge)
+    cmap, record = contract_face(n_map, pentagon)
+    hub = record.hub
     events: list[TraceEvent] = [
         Contracted(face_id=pentagon, hub=hub,
                    deleted_edge=tuple(x + 1 for x in n_map.edge_endpoints(deleted_edge)))]
@@ -575,7 +559,7 @@ def run_procedure(n_map: RotationMap, pentagon: int,
         events.append(Anomaly(ANOMALY_NO_TAIT, {"smaller_map": serialize_map(small)}))
         return ReductionTrace(events=tuple(events), **trace_args)
 
-    ec = _transfer_coloring(cmap, small, ec_small)
+    ec = _transfer_coloring(record.edge_map, small_edges, ec_small)
     initial = ec
     phase = 0          # counts non-tbci blue-yellow inversions (L1 then L2)
     last_kind: Optional[str] = None
@@ -599,7 +583,7 @@ def run_procedure(n_map: RotationMap, pentagon: int,
                               majority=pattern.majority.value))
 
         if pattern.tbci:
-            result = expand_vertex(cmap, ec, hub)
+            result = expand_vertex(cmap, ec, record)
             if result is None:
                 events.append(Anomaly(ANOMALY_EXPAND_FAILURE, snapshot()))
                 return finish()

@@ -8,14 +8,14 @@ derived eagerly; with that convention a bounded face is walked with its
 interior on the left.
 
 Maps are immutable.  The two structural surgeries (edge deletion with
-vertex suppression, face contraction) return new maps that carry a journal
-of what was done, so every surgery can be undone exactly.
+vertex suppression, face contraction) return a new map together with the
+correspondence between parent and child edges.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence
 
 
 class MapError(Exception):
@@ -81,42 +81,19 @@ class ValidationReport:
 
 
 @dataclass(frozen=True)
-class SuppressionRecord:
-    """Journal entry for delete_edge_suppress.
-
-    ``edge_map`` sends every surviving parent edge id to the child edge id
-    that carries it; the two spliced child edges each carry two parent
-    edges.  ``parent`` is kept whole so the surgery can be undone.
-    """
-
-    parent: "RotationMap"
-    deleted_edge: int
-    suppressed_vertices: tuple[int, int]
-    edge_map: dict[int, int]
-    dart_map: dict[int, int]
-
-
-@dataclass(frozen=True)
 class ContractionRecord:
-    """Journal entry for contract_face.
+    """What contract_face did, for restoring the face later.
 
-    ``boundary_vertices`` and ``boundary_darts`` follow the face walk.
-    ``outer_darts`` lists, per walk position, the parent darts re-homed
-    onto the hub vertex.  ``edge_map`` sends child edge ids back to the
-    parent edges they came from.
+    ``boundary_vertices`` and ``boundary_darts`` follow the face walk in
+    ``parent``.  ``edge_map`` sends child edge ids back to the parent edges
+    they came from.
     """
 
     parent: "RotationMap"
-    face_id: int
     hub: int
     boundary_vertices: tuple[int, ...]
     boundary_darts: tuple[int, ...]
-    outer_darts: tuple[tuple[int, ...], ...]
     edge_map: dict[int, int]
-    dart_map: dict[int, int]
-
-
-SurgeryRecord = Union[SuppressionRecord, ContractionRecord]
 
 
 class RotationMap:
@@ -129,12 +106,10 @@ class RotationMap:
     """
 
     __slots__ = ("_twin", "_origin", "_next", "_vertex_count", "_faces",
-                 "_face_of", "_vertex_darts", "allow_parallel", "journal")
+                 "_face_of", "_vertex_darts")
 
     def __init__(self, twin: Sequence[int], origin: Sequence[int],
-                 next_at_vertex: Sequence[int], vertex_count: int,
-                 allow_parallel: bool = False,
-                 journal: tuple[SurgeryRecord, ...] = ()):
+                 next_at_vertex: Sequence[int], vertex_count: int):
         n_darts = len(twin)
         if len(origin) != n_darts or len(next_at_vertex) != n_darts:
             raise MalformedInput("dart arrays disagree in length")
@@ -144,8 +119,6 @@ class RotationMap:
         self._origin = tuple(origin)
         self._next = tuple(next_at_vertex)
         self._vertex_count = vertex_count
-        self.allow_parallel = allow_parallel
-        self.journal = journal
         self._check_structure()
         self._vertex_darts = self._collect_vertex_darts()
         self._faces, self._face_of = self._derive_faces()
@@ -229,8 +202,7 @@ class RotationMap:
         prev = [0] * n
         for d in range(n):
             prev[self._next[d]] = d
-        return RotationMap(self._twin, self._origin, prev, self._vertex_count,
-                           allow_parallel=self.allow_parallel)
+        return RotationMap(self._twin, self._origin, prev, self._vertex_count)
 
     # -- structure checks and face derivation --------------------------------
 
@@ -358,7 +330,7 @@ def from_neighbor_lists(lists: Sequence[Sequence[int]],
         ds = dart_ids[u]
         for i, d in enumerate(ds):
             nxt[d] = ds[(i + 1) % len(ds)]
-    return RotationMap(twin, origin, nxt, n, allow_parallel=allow_parallel)
+    return RotationMap(twin, origin, nxt, n)
 
 
 def parse_map(text: str, allow_parallel: bool = False) -> RotationMap:
@@ -533,12 +505,15 @@ def _compact(twin: dict[int, int], origin: dict[int, int],
     return new_twin, new_origin, new_next, len(vmap), dmap, vmap
 
 
-def delete_edge_suppress(m: RotationMap, edge: int) -> RotationMap:
+def delete_edge_suppress(m: RotationMap, edge: int
+                         ) -> tuple[RotationMap, dict[int, int]]:
     """Delete a non-bridge edge of a cubic map and suppress both endpoints.
 
     Each endpoint drops to degree 2 and is removed by splicing its two
-    remaining edges into one.  The result is cubic again, may contain
-    parallel edges, and carries a SuppressionRecord journal entry.
+    remaining edges into one.  The result is cubic again and may contain
+    parallel edges.  Returns the child and the edge map, which sends every
+    surviving parent edge id to the child edge id that carries it; the two
+    spliced child edges each carry two parent edges.
     """
     edge = m.edge_id(edge)
     if edge in find_bridges(m):
@@ -579,32 +554,23 @@ def delete_edge_suppress(m: RotationMap, edge: int) -> RotationMap:
         if e != edge:
             d = dmap[e if e in dmap else m.twin(e)]
             edge_map[e] = min(d, new_twin[d])
-    record = SuppressionRecord(parent=m, deleted_edge=edge,
-                               suppressed_vertices=(u, v),
-                               edge_map=edge_map, dart_map=dmap)
-    child = RotationMap(new_twin, new_origin, new_next, nverts,
-                        allow_parallel=True, journal=m.journal + (record,))
+    child = RotationMap(new_twin, new_origin, new_next, nverts)
     assert child.vertex_count == m.vertex_count - 2
     assert child.edge_count == m.edge_count - 3
     assert child.vertex_count - child.edge_count + child.face_count == 2
-    return child
+    return child, edge_map
 
 
-def undo_suppress(child: RotationMap) -> RotationMap:
-    """Parent map of the most recent delete_edge_suppress."""
-    if not child.journal or not isinstance(child.journal[-1], SuppressionRecord):
-        raise MapError("no suppression to undo")
-    return child.journal[-1].parent
-
-
-def contract_face(m: RotationMap, face_id: int) -> tuple[RotationMap, int]:
+def contract_face(m: RotationMap, face_id: int
+                  ) -> tuple[RotationMap, ContractionRecord]:
     """Contract a face with simple boundary to a single hub vertex.
 
     The boundary edges vanish, the boundary vertices merge into a hub
     whose rotation is inherited from the walk, and every other vertex
     keeps its rotation.  The hub is the last vertex id of the child map.
     Chords of the face become loops at the hub; parallel edges are
-    permitted in the result.
+    permitted in the result.  Returns the child and the record of the
+    contraction.
     """
     if not 0 <= face_id < m.face_count:
         raise UnknownFace(f"face {face_id} out of range")
@@ -650,22 +616,11 @@ def contract_face(m: RotationMap, face_id: int) -> tuple[RotationMap, int]:
         vertex_alive[bv] = False
     new_twin, new_origin, new_next, nverts, dmap, vmap = _compact(
         twin, origin, nxt, vertex_alive)
-    hub = vmap[hub_old]
     edge_map = {min(dmap[e], new_twin[dmap[e]]): e for e in m.edges() if e in dmap}
-    record = ContractionRecord(parent=m, face_id=face_id, hub=hub,
+    record = ContractionRecord(parent=m, hub=vmap[hub_old],
                                boundary_vertices=bverts,
-                               boundary_darts=tuple(walk),
-                               outer_darts=tuple(tuple(a) for a in outer),
-                               edge_map=edge_map, dart_map=dmap)
-    child = RotationMap(new_twin, new_origin, new_next, nverts,
-                        allow_parallel=True, journal=m.journal + (record,))
+                               boundary_darts=tuple(walk), edge_map=edge_map)
+    child = RotationMap(new_twin, new_origin, new_next, nverts)
     assert child.vertex_count == m.vertex_count - k + 1
     assert child.edge_count == m.edge_count - k
-    return child, hub
-
-
-def undo_contract(child: RotationMap) -> RotationMap:
-    """Parent map of the most recent contract_face."""
-    if not child.journal or not isinstance(child.journal[-1], ContractionRecord):
-        raise MapError("no contraction to undo")
-    return child.journal[-1].parent
+    return child, record

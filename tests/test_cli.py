@@ -1,7 +1,12 @@
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tetracolor.cli import main
 
@@ -132,3 +137,78 @@ def test_curves_malformed_point_exit_code(tmp_path, capsys, curves_text,
     samples.write_text(samples_text)
     assert main(["curves", "classify", str(curves), str(samples)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def _lines(line):
+    return st.lists(line, max_size=8).map("\n".join)
+
+
+def _map_text(n):
+    rows = st.lists(st.lists(st.integers(0, n + 1), max_size=4),
+                    min_size=n, max_size=n)
+    return rows.map(lambda rs: f"{n}\n" + "".join(
+        f"{i + 1}: {' '.join(map(str, r))}\n" for i, r in enumerate(rs)))
+
+
+_INT = st.integers(-2, 12).map(str)
+MAP_TEXT = st.one_of(st.text(max_size=40),
+                     st.integers(1, 6).flatmap(_map_text),
+                     st.sampled_from([(DATA / "dodecahedron.map").read_text(),
+                                      "4\n1: 2 4 3\n2: 3 4 1\n3: 1 4 2\n4: 1 2 3\n",
+                                      "2\n1: 2 2 2\n2: 1 1 1\n"]))
+COLORING_TEXT = st.one_of(st.text(max_size=40), _lines(st.one_of(
+    st.builds("face {}: {}".format, _INT, st.sampled_from(["00", "01", "10", "11", "2"])),
+    st.builds("edge {}-{}: {}".format, _INT, _INT, st.sampled_from("BYGQ")))))
+CURVE_TEXT = st.one_of(st.text(max_size=40), _lines(st.one_of(
+    st.sampled_from(["[blue]", "[yellow]", "[red]", "curve", "", "1/0 2", "x"]),
+    st.builds("{} {}".format, _INT, _INT))))
+SAMPLE_TEXT = st.one_of(st.text(max_size=40), _lines(
+    st.builds("{} {} {}".format, st.sampled_from(["a", "b"]), _INT, _INT)))
+
+
+def _flag(*args):
+    return st.sampled_from([[], list(args)])
+
+
+@st.composite
+def _invocation(draw):
+    command = draw(st.sampled_from(
+        ["validate", "color", "dscc", "curves", "reduce", "gen", "claim"]))
+    if command == "validate":
+        return ["validate", "{map}"] + draw(_flag("--allow-parallel"))
+    if command == "color":
+        return ["color", "{map}"] + draw(_flag("--edges"))
+    if command == "dscc":
+        return ["dscc", "{map}", "{coloring}"]
+    if command == "curves":
+        return (["curves", "classify", "{curves}", "{samples}"]
+                + draw(_flag("--svg", "{out}")))
+    if command == "reduce":
+        return (["reduce", "{map}", "--step-budget", draw(st.integers(0, 8).map(str))]
+                + draw(st.sampled_from([[], ["--pentagon", draw(_INT)]]))
+                + draw(_flag("--edge-policy", "all"))
+                + draw(_flag("--trace", "{out}")) + draw(_flag("--svg", "{out}")))
+    if command == "gen":
+        return (["gen", "--n", draw(st.integers(-1, 10).map(str))]
+                + draw(_flag("--random", draw(st.integers(0, 2).map(str)),
+                             "--seed", draw(_INT))))
+    return (["claim", draw(st.sampled_from(["C1", "C2", "C3", "C4", "C5", "C6"])),
+             "--format", draw(st.sampled_from(["jsonl", "csv", "text"]))]
+            + draw(st.sampled_from([["--maps", "{map}"],
+                                    ["--n-max", draw(st.integers(-1, 8).map(str))]])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(argv=_invocation(), map_text=MAP_TEXT, coloring=COLORING_TEXT,
+       curves=CURVE_TEXT, samples=SAMPLE_TEXT)
+def test_every_subcommand_exits_0_1_or_2(argv, map_text, coloring, curves,
+                                         samples):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {"out": str(Path(tmp) / "out")}
+        for name, text in (("map", map_text), ("coloring", coloring),
+                           ("curves", curves), ("samples", samples)):
+            paths[name] = str(Path(tmp) / name)
+            Path(paths[name]).write_text(text)
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            code = main([arg.format(**paths) for arg in argv])
+    assert code in (0, 1, 2)

@@ -214,6 +214,28 @@ class TestCheckClaim:
         assert after.violations == fresh.violations
         assert emit_report(after, "csv") == emit_report(fresh, "csv")
 
+    def test_c5_report_on_a_mirrored_map_replays(self, recurrence14):
+        # mirrored() numbers darts unlike the parse of its own text; its
+        # report must equal that of the reparse, checked before or after
+        # it, and every witness must replay from its map text
+        from tetracolor import harness
+        from tetracolor.kempe import run_procedure
+        mirror = recurrence14.mirrored()
+        reparse = parse_map(serialize_map(mirror))
+        harness._trace_memo.clear()
+        first = check_claim("C5", [mirror])
+        after = check_claim("C5", [reparse])
+        harness._trace_memo.clear()
+        fresh = check_claim("C5", [reparse])
+        assert first.violations
+        assert first.violations == after.violations == fresh.violations
+        for text, witness in first.violations:
+            m = parse_map(text)
+            u, v = witness["edge"]
+            again = run_procedure(m, witness["pentagon"],
+                                  deleted_edge=m.find_edge(u - 1, v - 1))
+            assert again.to_jsonl() == witness["trace"]
+
     def test_checkers_do_not_mutate_maps(self, corpus12):
         before = [serialize_map(m) for m in corpus12]
         check_claim("C2", corpus12)
@@ -252,10 +274,15 @@ class TestThreeConnectivityTag:
         assert is_three_connected(k4)
         assert is_three_connected(recurrence14)
 
-    def test_corpus_contains_both_kinds(self):
+    def test_three_connected_counts_match_a000109(self, corpus16):
+        # 3-connected cubic planar maps up to reflection are the duals of
+        # the simplicial polyhedra, OEIS A000109
         from tetracolor.harness import is_three_connected
-        flags = {is_three_connected(m) for m in corpus(10)}
-        assert flags == {True, False}
+        counts = {n: 0 for n in range(4, 17, 2)}
+        for m in corpus16:
+            counts[m.vertex_count] += is_three_connected(m)
+        assert list(counts.values()) == [1, 1, 2, 5, 14, 50, 233]
+        assert sum(counts.values()) < len(corpus16)
 
     def test_c6_reports_carry_the_tag(self, corpus12):
         report = check_claim("C6", corpus12[:10])

@@ -8,7 +8,7 @@ from tetracolor.coloring import (EdgeColor, find_tait_coloring,
                                  verify_coloring)
 from tetracolor.harness import GenConfig, generate
 from tetracolor.kempe import (ANOMALY_TOPOLOGY_RECURRENCE,
-                              Contracted, DegreeMismatch, Inverted, MissingJournal,
+                              Contracted, DegreeMismatch, Inverted,
                               NoPentagon, Pattern, PatternNotAllowed,
                               PreconditionPattern, SeedColorMismatch,
                               Topology, TopologyClass,
@@ -16,7 +16,7 @@ from tetracolor.kempe import (ANOMALY_TOPOLOGY_RECURRENCE,
                               find_chain, hub_pairing, invert_chain,
                               pattern_at, replay_inversions, replay_trace,
                               run_procedure)
-from tetracolor.planar_map import contract_face, parse_map
+from tetracolor.planar_map import contract_face
 
 BY = frozenset((EdgeColor.BLUE, EdgeColor.YELLOW))
 BG = frozenset((EdgeColor.BLUE, EdgeColor.GREEN))
@@ -175,26 +175,18 @@ class TestExpandVertex:
         assert verify_coloring(parent, full) == []
 
     def test_degree_mismatch_on_triangle_hub(self, k4):
-        cmap, hub = contract_face(k4, 0)
+        cmap, record = contract_face(k4, 0)
         ec = find_tait_coloring(cmap)
         with pytest.raises(DegreeMismatch):
-            expand_vertex(cmap, ec, hub)
-
-    def test_missing_journal(self, dodecahedron):
-        from tetracolor.planar_map import serialize_map
-        tr = run_procedure(dodecahedron, 0)
-        # same contracted structure, reparsed without any journal
-        fresh = parse_map(serialize_map(tr.contracted_map), allow_parallel=True)
-        assert fresh.degree(tr.hub) == 5
-        with pytest.raises(MissingJournal):
-            expand_vertex(fresh, tr.initial_coloring, tr.hub)
+            expand_vertex(cmap, ec, record)
 
     def test_non_contiguous_pattern_does_not_expand(self, recurrence14):
         tr = run_procedure(recurrence14, 0,
                            deleted_edge=recurrence14.find_edge(0, 13))
-        cmap, hub, ec = tr.contracted_map, tr.hub, tr.initial_coloring
-        assert not pattern_at(cmap, ec, hub).tbci
-        assert expand_vertex(cmap, ec, hub) is None
+        cmap, record = contract_face(recurrence14, 0)
+        ec = tr.initial_coloring
+        assert not pattern_at(cmap, ec, record.hub).tbci
+        assert expand_vertex(cmap, ec, record) is None
 
 
 class TestRunProcedure:
