@@ -2,8 +2,8 @@
 """Sweep every claim over the exhaustive corpus and write reports.
 
 Writes one jsonl and one csv report per claim into the output directory,
-plus a summary table on stdout.  The n=16 corpus build takes about a
-minute on first use.
+plus a summary table on stdout.  The n=16 corpus build takes about 40 s
+on first use (CPython 3.11, one core of a 2-core x86-64 VM).
 """
 
 import argparse

@@ -6,7 +6,12 @@ identified).  Growth happens inside the wider class of loopless
 bridgeless cubic planar multigraph maps, seeded by the two-vertex triple
 edge and closed under inserting a new edge across a face (two subdivision
 points on one or two boundary edges); the simple members are emitted.
-Random mode walks seeded insertion chains from K4 and stays simple.
+Each level keeps the first child seen per canonical key.  Insertions in
+one orbit of the parent's automorphisms give isomorphic children, so only
+the first insertion of each orbit is tried (the orbit pruning of McKay's
+canonical construction path); the kept texts are the same as when every
+insertion is tried.  Random mode walks seeded insertion chains from K4
+and stays simple.
 
 Each claim checker sweeps a corpus, returns a report with replayable
 witnesses for every violation, and never mutates corpus maps.
@@ -19,7 +24,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .coloring import EdgeColor, find_tait_coloring, verify_coloring
 from .dscc import EvenSubgraph, trail_decompose
@@ -67,60 +72,121 @@ class GenConfig:
 # canonical form
 # ---------------------------------------------------------------------------
 
-def _walk_code(m: RotationMap, start: int) -> tuple[int, ...]:
-    """Rotation-walk encoding rooted at one dart.
+def _walk_code(twin: Sequence[int], origin: Sequence[int], nxt: Sequence[int],
+               start: int, best: Optional[list[int]] = None,
+               entry: Optional[list[int]] = None) -> Optional[list[int]]:
+    """Rotation-walk encoding rooted at one dart, or None once it loses.
 
-    Vertices are labeled in discovery order; each vertex contributes its
-    degree and the labels of its neighbors read clockwise from the dart
-    by which the vertex was first entered (the root uses the start dart).
-    Two rooted maps are orientation-preserving isomorphic iff their codes
-    match.
+    Vertices are labeled in discovery order; each vertex contributes a
+    block of its degree and the labels of its neighbors read clockwise
+    (in the rotation ``nxt``) from the dart by which the vertex was first
+    entered (the root uses the start dart).  Two rooted maps are
+    orientation-preserving isomorphic iff their codes match.
+
+    Every walk of one connected map has the same length, so comparing each
+    block with ``best`` as soon as it is complete decides the comparison of
+    whole codes: the walk stops with None at the first block that is
+    greater.  The entry dart of each vertex, in label order, is appended
+    to ``entry`` when one is given.
     """
-    label = {m.origin(start): 0}
-    entry = [start]
+    label = [-1] * len(origin)   # a connected map has no more vertices than darts
+    label[origin[start]] = 0
+    queue = [] if entry is None else entry
+    queue.append(start)
     code: list[int] = []
-    i = 0
-    while i < len(entry):
-        d0 = entry[i]
-        i += 1
-        rot = []
+    tight = best is not None     # equal to best so far
+    for d0 in queue:
+        block = [0]
         d = d0
         while True:
-            w = m.head(d)
-            lw = label.get(w)
-            if lw is None:
-                lw = len(label)
-                label[w] = lw
-                entry.append(m.twin(d))
-            rot.append(lw)
-            d = m.next(d)
+            t = twin[d]
+            w = origin[t]
+            lw = label[w]
+            if lw < 0:
+                lw = label[w] = len(queue)
+                queue.append(t)
+            block.append(lw)
+            d = nxt[d]
             if d == d0:
                 break
-        code.append(len(rot))
-        code.extend(rot)
-    return tuple(code)
+        block[0] = len(block) - 1
+        if tight:
+            ref = best[len(code):len(code) + len(block)]
+            if block != ref:
+                if block > ref:
+                    return None
+                tight = False
+        code += block
+    return code
 
 
-def _min_code(m: RotationMap) -> tuple[int, ...]:
-    # cheap mirror-comparable dart profile: face length on both sides
-    profile = [(len(m.faces[m.face_of(d)]), len(m.faces[m.face_of(m.twin(d))]))
-               for d in range(m.dart_count)]
-    lo = min(profile)
-    best: Optional[tuple[int, ...]] = None
-    for d in range(m.dart_count):
-        if profile[d] != lo:
-            continue
-        code = _walk_code(m, d)
-        if best is None or code < best:
-            best = code
+def _least_roots(m: RotationMap, rotations: Sequence[Sequence[int]]
+                 ) -> tuple[list[int], list[tuple[int, list[int]]]]:
+    """The least walk code over both orientations of m, and the
+    (orientation, entry darts) of every walk that reaches it.
+
+    ``rotations`` holds m's own rotation and that of its reflection.  Only
+    darts with the least (own face, twin's face) length pair are roots.
+    A reflection walks every face backwards, so a dart's pair in the
+    mirror is its twin's pair in m, and the least pair is the same in
+    both orientations.
+    """
+    twin, face_of = m._twin, m._face_of
+    flen = [len(f.darts) for f in m.faces]
+    sides = [(flen[face_of[d]], flen[face_of[t]]) for d, t in enumerate(twin)]
+    lo = min(sides)
+    roots = [d for d, s in enumerate(sides) if s == lo]
+    best: Optional[list[int]] = None
+    reached: list[tuple[int, list[int]]] = []
+    for o, nxt in enumerate(rotations):
+        for d in roots:
+            entry: list[int] = []
+            code = _walk_code(twin, m._origin, nxt, d if o == 0 else twin[d],
+                              best, entry)
+            if code is None:
+                continue
+            if code != best:
+                best = code
+                reached = []
+            reached.append((o, entry))
     assert best is not None
-    return best
+    return best, reached
 
 
 def canonical_form(m: RotationMap) -> str:
     """Key equal across orientation-preserving relabelings and reflections."""
-    code = min(_min_code(m), _min_code(m.mirrored()))
+    code, _ = _least_roots(m, (m._next, m.mirrored()._next))
     return f"{m.vertex_count};{m.edge_count};" + ",".join(map(str, code))
+
+
+def _automorphisms(m: RotationMap) -> list[tuple[list[int], bool]]:
+    """Every automorphism of a connected map m as a dart map, flagged True
+    when it reverses orientation.
+
+    Two rooted walks with the least code correspond block by block, which
+    pairs the darts around each vertex.  A code names neighbors by label,
+    so among parallel edges it does not fix which darts are twins; the
+    pairing is kept only when it commutes with twin.  A reversing map
+    sends m's rotation to its reflection's, so it sends each face onto the
+    twins of a face walked backwards.
+    """
+    rotations = (m._next, m.mirrored()._next)
+    _, reached = _least_roots(m, rotations)
+    twin = m._twin
+    o0, e0 = reached[0]
+    out = []
+    for o, e in reached:
+        phi = [0] * len(twin)
+        for a0, b0 in zip(e0, e):
+            a, b = a0, b0
+            while True:
+                phi[a] = b
+                a, b = rotations[o0][a], rotations[o][b]
+                if a == a0:
+                    break
+        if all(phi[t] == twin[phi[d]] for d, t in enumerate(twin)):
+            out.append((phi, o != o0))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -192,10 +258,36 @@ K4_TEXT = "4\n1: 2 4 3\n2: 3 4 1\n3: 1 4 2\n4: 1 2 3\n"
 
 
 def _insertions(m: RotationMap) -> Iterator[RotationMap]:
+    """Children by every edge insertion (face f, i <= j) in (f, i, j) order,
+    skipping one when an earlier insertion gives an isomorphic child.
+
+    An automorphism maps the chord across face f between the edges of
+    darts a and b onto the chord between the edges of its images, which
+    lie in one face; a reversing one maps it into the mirror, whose faces
+    are the twins of m's.  A digon (i == j) is the same map on either side
+    of its edge.  A skipped child is never the first with its key.
+    """
+    twin, face_of = m._twin, m._face_of
+    pos = [0] * len(twin)
     for f in m.faces:
-        L = len(f)
-        for i in range(L):
-            for j in range(i, L):
+        for i, d in enumerate(f.darts):
+            pos[d] = i
+    images = [[twin[x] for x in phi] if reverses else phi
+              for phi, reverses in _automorphisms(m)]
+    for f in m.faces:
+        walk = f.darts
+        for i, a in enumerate(walk):
+            for j in range(i, len(walk)):
+                here = (f.id, i, j)
+                if i == j:
+                    known = ((face_of[g[s]], pos[g[s]], pos[g[s]])
+                             for g in images for s in (a, twin[a]))
+                else:
+                    b = walk[j]
+                    known = ((face_of[g[a]], *sorted((pos[g[a]], pos[g[b]])))
+                             for g in images)
+                if any(k < here for k in known):
+                    continue
                 yield insert_edge_across_face(m, f.id, i, j)
 
 

@@ -516,7 +516,9 @@ def delete_edge_suppress(m: RotationMap, edge: int
     spliced child edges each carry two parent edges.
     """
     edge = m.edge_id(edge)
-    if edge in find_bridges(m):
+    # an edge between two different faces is never a bridge
+    if (m.face_of(edge) == m.face_of(m.twin(edge))
+            and edge in find_bridges(m)):
         raise BridgeDeletion(f"edge {m.edge_endpoints(edge)} is a bridge")
     if any(m.degree(v) != 3 for v in range(m.vertex_count)):
         raise NotCubic("delete_edge_suppress requires a cubic map")

@@ -4,10 +4,11 @@ import random
 
 import pytest
 
-from tetracolor.harness import (GenConfig, HarnessError, OddOrder,
-                                UnknownClaim, UnsupportedFormat,
-                                canonical_form, check_claim, corpus, emit_report,
-                                generate, insert_edge_across_face)
+from tetracolor.harness import (_DIPOLE, GenConfig, HarnessError, OddOrder,
+                                UnknownClaim, UnsupportedFormat, _automorphisms,
+                                _exhaustive_level, canonical_form, check_claim,
+                                corpus, emit_report, generate,
+                                insert_edge_across_face)
 from tetracolor.planar_map import (from_neighbor_lists, parse_map,
                                    serialize_map, validate)
 
@@ -54,6 +55,41 @@ class TestCanonicalForm:
                 assert canonical_form(mirrored) == canonical_form(m)
                 return
         pytest.fail("no chiral instance found")
+
+    def test_key_ignores_numbering_and_reflection(self):
+        # the walks stop at the first losing block, so a key that depended
+        # on which root is tried first would show up under renumbering
+        rng = random.Random(11)
+        for n in range(12, 41, 2):
+            (m,) = generate(GenConfig(n, mode="random", count=1, seed=n))
+            key = canonical_form(m)
+            for base in (m, m.mirrored()):
+                lists = base.neighbor_lists()
+                for _ in range(2):
+                    perm = list(range(n))
+                    rng.shuffle(perm)
+                    new = [None] * n
+                    for v, row in enumerate(lists):
+                        k = rng.randrange(len(row))
+                        new[perm[v]] = [perm[w] for w in row[k:] + row[:k]]
+                    assert canonical_form(from_neighbor_lists(new)) == key
+
+    def test_automorphism_groups(self, k4, prism, cube, dodecahedron):
+        for m, size in ((k4, 24), (prism, 12), (cube, 48),
+                        (dodecahedron, 120), (_DIPOLE, 12)):
+            autos = _automorphisms(m)
+            assert len({tuple(phi) for phi, _ in autos}) == len(autos) == size
+            assert sum(reverses for _, reverses in autos) == size // 2
+            faces = {frozenset(f.darts) for f in m.faces}
+            for phi, reverses in autos:
+                assert sorted(phi) == list(range(m.dart_count))
+                assert all(phi[m.twin(d)] == m.twin(phi[d])
+                           for d in range(m.dart_count))
+                for f in m.faces:
+                    image = {phi[d] for d in f.darts}
+                    if reverses:
+                        image = {m.twin(d) for d in image}
+                    assert frozenset(image) in faces
 
 
 class TestInsertion:
@@ -140,6 +176,21 @@ class TestGenerate:
         oracle = brute_force_small_order_count(n)
         gen = {canonical_form(m) for m in generate(GenConfig(n))}
         assert gen == oracle
+
+    def test_pruned_levels_equal_every_insertion(self):
+        # try every insertion of every parent and keep the first text seen
+        # per key: the texts fix the corpus numbering, and so the C5 counts
+        for n in range(4, 13, 2):
+            found = {}
+            for _, text in _exhaustive_level(n - 2):
+                parent = parse_map(text, allow_parallel=True)
+                for f in parent.faces:
+                    for i in range(len(f)):
+                        for j in range(i, len(f)):
+                            child = insert_edge_across_face(parent, f.id, i, j)
+                            found.setdefault(canonical_form(child),
+                                             serialize_map(child))
+            assert _exhaustive_level(n) == tuple(sorted(found.items()))
 
     def test_every_emitted_map_validates(self):
         for n in (4, 6, 8, 10):
