@@ -44,8 +44,12 @@ class KleinColor(enum.Enum):
     C10 = 0b10
     C11 = 0b11
 
+    # members are singletons compared by identity, so identity hashing is
+    # consistent and skips Enum's Python-level __hash__
+    __hash__ = object.__hash__
+
     def __xor__(self, other: "KleinColor") -> "KleinColor":
-        return KleinColor(self.value ^ other.value)
+        return KLEIN_ORDER[self.value ^ other.value]
 
     @property
     def bits(self) -> tuple[bool, bool]:
@@ -69,6 +73,8 @@ class EdgeColor(enum.Enum):
     BLUE = "B"
     YELLOW = "Y"
     GREEN = "G"
+
+    __hash__ = object.__hash__
 
     @property
     def klein(self) -> KleinColor:
@@ -148,34 +154,37 @@ def find_face_4coloring(m: RotationMap) -> Optional[FaceColoring]:
     """Lexicographically least proper four-coloring in face order.
 
     Face 0 is pinned to 00; the remaining faces are tried in id order with
-    colors in the order 00, 01, 10, 11.  Returns None when no proper
-    coloring exists (a face adjacent to itself across a bridge, for
-    instance).
+    colors in the order 00, 01, 10, 11.  The search backtracks over a flat
+    color list, so its depth is not bounded by the recursion limit.
+    Returns None when no proper coloring exists (a face adjacent to itself
+    across a bridge, for instance).
     """
     nf = m.face_count
-    adj = _face_adjacency(m)
-    for f in range(nf):
-        if any(g == f for g, _ in adj[f]):
-            return None  # face adjacent to itself; no proper coloring
-    colors: list[Optional[KleinColor]] = [None] * nf
-    order = list(range(nf))
+    nbrs = [[g for g, _ in pairs] for pairs in _face_adjacency(m)]
+    if any(f in nbrs[f] for f in range(nf)):
+        return None  # face adjacent to itself; no proper coloring
+    colors = [-1] * nf  # index into KLEIN_ORDER, -1 while unset
+    f, c = 0, 0
+    while f < nf:
+        used = [colors[g] for g in nbrs[f]]
+        last = 0 if f == 0 else 3
+        while c <= last and c in used:
+            c += 1
+        if c <= last:
+            colors[f] = c
+            f, c = f + 1, 0
+        elif f == 0:
+            return None
+        else:
+            f -= 1
+            c = colors[f] + 1
+            colors[f] = -1
+    return FaceColoring({f: KLEIN_ORDER[c] for f, c in enumerate(colors)}, outer_face=0)
 
-    def assign(i: int) -> bool:
-        if i == nf:
-            return True
-        f = order[i]
-        choices = (KleinColor.C00,) if f == 0 else KLEIN_ORDER
-        for c in choices:
-            if all(colors[g] != c for g, _ in adj[f]):
-                colors[f] = c
-                if assign(i + 1):
-                    return True
-                colors[f] = None
-        return False
 
-    if not assign(0):
-        return None
-    return FaceColoring({f: colors[f] for f in range(nf)}, outer_face=0)
+# Tait search colors: one bit each, so the free color at a vertex whose other
+# two edges differ is 7 ^ (first | second); 0 marks an unset edge
+_BIT_TO_EDGE = (None, EdgeColor.BLUE, EdgeColor.YELLOW, None, EdgeColor.GREEN)
 
 
 def find_tait_coloring(m: RotationMap) -> Optional[EdgeColoring]:
@@ -183,66 +192,90 @@ def find_tait_coloring(m: RotationMap) -> Optional[EdgeColoring]:
 
     Colors are tried Blue < Yellow < Green per edge; a vertex whose third
     edge is forced gets it propagated immediately, which never changes the
-    first solution found.  Returns None when no Tait coloring exists.
+    first solution found.  The search is iterative, with an explicit stack
+    of decisions, and reads an edge's endpoints through ``m.edge_endpoints``
+    at every color check and every propagation step.  Returns None when no
+    Tait coloring exists.
     """
     if any(m.degree(v) != 3 for v in range(m.vertex_count)):
         raise NotCubic("Tait coloring needs a cubic map")
-    edges = list(m.edges())
-    eindex = {e: i for i, e in enumerate(edges)}
-    vert_edges = [[m.edge_id(d) for d in m.vertex_darts(v)]
+    # Callers meter search work in edge_endpoints calls, so the endpoints
+    # are read at every check, never cached.
+    endpoints = m.edge_endpoints
+    edges = m.edges()
+    n = len(edges)
+    vert_edges = [tuple(m.edge_id(d) for d in m.vertex_darts(v))
                   for v in range(m.vertex_count)]
-    color: dict[int, EdgeColor] = {}
+    col = [0] * m.dart_count  # by edge id
 
-    def ok(e: int, c: EdgeColor) -> bool:
-        u, v = m.edge_endpoints(e)
-        for w in (u, v):
-            for e2 in vert_edges[w]:
-                if e2 != e and color.get(e2) == c:
-                    return False
+    def ok(e: int, c: int) -> bool:
+        u, v = endpoints(e)
+        for x in vert_edges[u]:
+            if col[x] == c and x != e:
+                return False
+        for x in vert_edges[v]:
+            if col[x] == c and x != e:
+                return False
         return True
 
-    def assign(i: int) -> bool:
-        while i < len(edges) and edges[i] in color:
-            i += 1
-        if i == len(edges):
-            return True
-        e = edges[i]
-        for c in EDGE_ORDER:
-            if not ok(e, c):
-                continue
-            color[e] = c
-            forced: list[int] = []
-            if _propagate(e, forced):
-                if assign(i + 1):
-                    return True
-            for f in forced:
-                del color[f]
-            del color[e]
-        return False
-
-    def _propagate(e: int, forced: list[int]) -> bool:
+    def propagate(e: int, forced: list[int]) -> bool:
         stack = [e]
         while stack:
-            cur = stack.pop()
-            for w in m.edge_endpoints(cur):
-                es = vert_edges[w]
-                unset = [x for x in es if x not in color]
-                if len(unset) == 1:
-                    used = {color[x] for x in es if x in color}
-                    free = [c for c in EDGE_ORDER if c not in used]
-                    if len(used) != 2 or not free:
-                        return False
-                    tgt = unset[0]
-                    if not ok(tgt, free[0]):
-                        return False
-                    color[tgt] = free[0]
-                    forced.append(tgt)
-                    stack.append(tgt)
+            for w in endpoints(stack.pop()):
+                a, b, d = vert_edges[w]
+                ca, cb, cd = col[a], col[b], col[d]
+                if ca:
+                    if cb:
+                        if cd:
+                            continue
+                        tgt = d
+                    elif cd:
+                        tgt = b
+                    else:
+                        continue
+                elif cb and cd:
+                    tgt = a
+                else:
+                    continue
+                c = 7 ^ (ca | cb | cd)
+                if c & (c - 1) or not ok(tgt, c):
+                    return False  # the two set edges clash, or tgt cannot take c
+                col[tgt] = c
+                forced.append(tgt)
+                stack.append(tgt)
         return True
 
-    if not assign(0):
-        return None
-    return EdgeColoring(dict(sorted(color.items())))
+    decisions: list[tuple[int, int, list[int]]] = []  # (edge index, color, forced)
+    i, c = 0, 1
+    while True:
+        if c == 1:  # a new decision: skip the edges propagation has set
+            while i < n and col[edges[i]]:
+                i += 1
+            if i == n:
+                break
+        e = edges[i]
+        while c <= 4:
+            if ok(e, c):
+                col[e] = c
+                forced: list[int] = []
+                if propagate(e, forced):
+                    break
+                for f in forced:
+                    col[f] = 0
+                col[e] = 0
+            c <<= 1
+        if c <= 4:
+            decisions.append((i, c, forced))
+            i, c = i + 1, 1
+            continue
+        if not decisions:
+            return None
+        i, c, forced = decisions.pop()
+        for f in forced:
+            col[f] = 0
+        col[edges[i]] = 0
+        c <<= 1
+    return EdgeColoring({e: _BIT_TO_EDGE[col[e]] for e in edges})
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +392,10 @@ def parse_coloring(m: RotationMap, text: str) -> Union[FaceColoring, EdgeColorin
     faces: dict[int, KleinColor] = {}
     edges: dict[int, EdgeColor] = {}
     pair_counts: dict[tuple[int, int], int] = {}
+    pair_edges: dict[tuple[int, int], list[int]] = {}  # in increasing edge order
+    for e in m.edges():
+        u, v = m.edge_endpoints(e)
+        pair_edges.setdefault((min(u, v), max(u, v)), []).append(e)
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -374,8 +411,7 @@ def parse_coloring(m: RotationMap, text: str) -> Union[FaceColoring, EdgeColorin
             pair = (min(u, v), max(u, v))
             k = pair_counts.get(pair, 0)
             pair_counts[pair] = k + 1
-            cands = sorted(e for e in m.edges()
-                           if tuple(sorted(m.edge_endpoints(e))) == pair)
+            cands = pair_edges.get(pair, [])
             if k >= len(cands):
                 raise DomainMismatch(f"no edge {u + 1}-{v + 1} (occurrence {k + 1})")
             edges[cands[k]] = EdgeColor.parse(value)

@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tetracolor.cli import main
+from tetracolor.coloring import parse_coloring, verify_coloring
+from tetracolor.planar_map import from_neighbor_lists, serialize_map
 
 DATA = Path(__file__).parent / "data"
 DODECA = str(DATA / "dodecahedron.map")
@@ -40,6 +42,22 @@ def test_color_faces_and_edges(capsys):
     assert main(["color", DODECA, "--edges"]) == 0
     edges = capsys.readouterr().out
     assert edges.splitlines()[0].startswith("edge ")
+
+
+@pytest.mark.parametrize("flags", [[], ["--edges"]])
+def test_color_prism_deeper_than_the_recursion_limit(tmp_path, capsys, flags):
+    # 2,000 vertices, 3,000 edges and 1,002 faces: either search goes
+    # deeper than Python's default recursion limit
+    k = 1000
+    lists = ([[(i + 1) % k, (i - 1) % k, k + i] for i in range(k)]
+             + [[k + (i - 1) % k, k + (i + 1) % k, i] for i in range(k)])
+    m = from_neighbor_lists(lists)
+    path = tmp_path / "prism.map"
+    path.write_text(serialize_map(m))
+    assert main(["color", str(path)] + flags) == 0
+    c = parse_coloring(m, capsys.readouterr().out)
+    assert len(c.assignment) == (m.edge_count if flags else m.face_count)
+    assert verify_coloring(m, c) == []
 
 
 def test_dscc_pipeline(tmp_path, capsys):

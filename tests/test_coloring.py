@@ -89,6 +89,29 @@ def brute_force_tait(m):
     return None
 
 
+def least_tait(m):
+    """Reference: plain backtracking in edge order with Blue < Yellow < Green
+    and no propagation, so the first proper colouring it reaches is the
+    lexicographically least one by construction."""
+    edges = m.edges()
+    at = [[m.edge_id(d) for d in m.vertex_darts(v)] for v in range(m.vertex_count)]
+    color = {}
+
+    def extend(i):
+        if i == len(edges):
+            return True
+        e = edges[i]
+        for c in EDGE_ORDER:
+            if all(color.get(x) != c for w in m.edge_endpoints(e) for x in at[w]):
+                color[e] = c
+                if extend(i + 1):
+                    return True
+                del color[e]
+        return False
+
+    return EdgeColoring(dict(color)) if extend(0) else None
+
+
 class TestTaitColoring:
     def test_k4_is_three_matchings(self, k4):
         ec = find_tait_coloring(k4)
@@ -100,6 +123,16 @@ class TestTaitColoring:
 
     def test_k4_matches_brute_force(self, k4):
         assert find_tait_coloring(k4) == brute_force_tait(k4)
+
+    def test_least_on_corpus12_both_orientations(self, corpus12):
+        for m in corpus12:
+            for v in (m, m.mirrored()):
+                assert find_tait_coloring(v) == least_tait(v)
+
+    @pytest.mark.parametrize("n", [14, 16, 18, 20])
+    def test_least_on_random_maps(self, n):
+        for m in generate(GenConfig(n, mode="random", count=5, seed=n)):
+            assert find_tait_coloring(m) == least_tait(m)
 
     def test_bridged_cubic_map_has_none(self):
         # two doubled-edge triangle lobes with a connecting bridge
