@@ -133,9 +133,12 @@ def cmd_claim(args) -> int:
                     f"{path}: not a connected simple cubic bridgeless planar map")
     else:
         maps = har.corpus(args.n_max)
-    report = har.check_claim(args.claim, maps)
-    sys.stdout.write(har.emit_report(report, args.format))
-    return 0 if report.ok else 1
+    ok = True
+    for claim in args.claims:
+        report = har.check_claim(claim, maps)
+        sys.stdout.write(har.emit_report(report, args.format))
+        ok = ok and report.ok
+    return 0 if ok else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -185,8 +188,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(fn=cmd_gen)
 
-    sp = sub.add_parser("claim", help="run one claim checker over a corpus")
-    sp.add_argument("claim", choices=har.CLAIM_IDS)
+    sp = sub.add_parser("claim", help="run claim checkers over one corpus")
+    sp.add_argument("claims", nargs="+", choices=har.CLAIM_IDS, metavar="claim",
+                    help="one or more of " + " ".join(har.CLAIM_IDS))
     sp.add_argument("--n-max", type=int, default=12)
     sp.add_argument("--format", choices=("jsonl", "csv", "text"), default="text")
     sp.add_argument("--maps", nargs="*", default=None, metavar="MAPFILE",

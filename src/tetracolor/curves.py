@@ -188,19 +188,15 @@ def classify_regions(blue: CurveSet, yellow: CurveSet,
     check_disjoint(yellow)
     out: dict[str, KleinColor] = {}
     for label, p in samples:
-        in_b = _inside(blue, p, label)
-        in_y = _inside(yellow, p, label)
-        out[label] = KleinColor((0b10 if in_b else 0) | (0b01 if in_y else 0))
+        bits = 0
+        for cs, bit in ((blue, 0b10), (yellow, 0b01)):
+            pos = dwn([cs], p).position
+            if pos == Position.ON_CURVE:
+                raise SampleOnCurve(f"sample {label!r} lies on a curve")
+            if pos == Position.INSIDE:
+                bits |= bit
+        out[label] = KleinColor(bits)
     return out
-
-
-def _inside(cs: CurveSet, p: Point, label) -> bool:
-    total = 0
-    for curve in cs.curves:
-        if point_on_curve(curve, p):
-            raise SampleOnCurve(f"sample {label!r} lies on a curve")
-        total += abs(winding_number(curve, p))
-    return total % 2 == 1
 
 
 def verify_proper_geometric(blue: CurveSet, yellow: CurveSet,

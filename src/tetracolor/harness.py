@@ -14,7 +14,10 @@ insertion is tried.  Random mode walks seeded insertion chains from K4
 and stays simple.
 
 Each claim checker sweeps a corpus, returns a report with replayable
-witnesses for every violation, and never mutates corpus maps.
+witnesses for every violation, and never mutates corpus maps.  C2..C6
+read one table per corpus: every map (and, for C4..C6, its reflection)
+is parsed from its text, keyed, tested for 3-connectivity and reduced
+once for all of them, and only the last corpus's table stays cached.
 """
 
 from __future__ import annotations
@@ -291,10 +294,12 @@ def _insertions(m: RotationMap) -> Iterator[RotationMap]:
                 yield insert_edge_across_face(m, f.id, i, j)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def _exhaustive_level(n: int) -> tuple[tuple[str, str], ...]:
     """All loopless bridgeless cubic planar maps of order n, as
-    (canonical key, serialized text) pairs sorted by key."""
+    (canonical key, serialized text) pairs sorted by key.  Only the last
+    level stays cached: ``corpus`` asks for ascending orders, so each
+    level grows from the one before it."""
     if n == 2:
         return ((canonical_form(_DIPOLE), serialize_map(_DIPOLE)),)
     found: dict[str, str] = {}
@@ -393,26 +398,14 @@ class ClaimReport:
         return not self.violations
 
 
-# process-wide, so a claim sweep runs each reduction once however many
-# claims read it; keyed by the map variant's text, from whose parse the
-# face and edge ids follow
-_trace_memo: dict[tuple[str, int, int], ReductionTrace] = {}
-
-
-def _traced(m: RotationMap, text: str, pentagon: int, edge: int) -> ReductionTrace:
-    memo_key = (text, pentagon, edge)
-    if memo_key not in _trace_memo:
-        _trace_memo[memo_key] = run_procedure(m, pentagon, deleted_edge=edge)
-    return _trace_memo[memo_key]
-
-
 def check_claim(claim: str, maps: Iterable[RotationMap]) -> ClaimReport:
     """Run one claim checker over a corpus and aggregate witnesses."""
     if claim not in CLAIM_IDS:
         raise UnknownClaim(f"claim {claim!r}; known: {', '.join(CLAIM_IDS)}")
     t0 = time.monotonic()
+    maps = tuple(maps)
     if claim == "C1":
-        violations, instances = _check_tait_colorable(list(maps))
+        violations, instances = _check_tait_colorable(maps)
     else:
         judge = {
             "C2": _judge_pattern_law,
@@ -424,12 +417,12 @@ def check_claim(claim: str, maps: Iterable[RotationMap]) -> ClaimReport:
         # C4..C6 sweep both orientations, so C4 validates every inversion
         # that the disputed-step claims perform
         violations, instances = _check_reductions(
-            list(maps), claim not in ("C2", "C3"), judge)
+            maps, claim not in ("C2", "C3"), judge)
     return ClaimReport(claim, len(instances), violations, time.monotonic() - t0,
                        {"claim": claim, "title": CLAIM_TITLES[claim]}, instances)
 
 
-def _check_tait_colorable(maps: list[RotationMap]
+def _check_tait_colorable(maps: Sequence[RotationMap]
                           ) -> tuple[list[tuple[str, dict]], list[InstanceRecord]]:
     violations = []
     instances = []
@@ -443,46 +436,71 @@ def _check_tait_colorable(maps: list[RotationMap]
     return violations, instances
 
 
+@dataclass(frozen=True)
+class _Variant:
+    """One orientation of a swept map: its report key, its 3-connectivity
+    and the trace of every (pentagon, deleted edge) instance."""
+
+    key: str
+    map: RotationMap
+    three_connected: bool
+    traces: tuple[ReductionTrace, ...]
+
+
+@lru_cache(maxsize=2)
+def _variants(maps: tuple[RotationMap, ...], mirror: bool) -> tuple[_Variant, ...]:
+    """Every map of a corpus, or its reflection, with its reductions run.
+
+    The cache holds both orientations of the last corpus swept, so the
+    claims checked over one corpus share its traces.  ``RotationMap`` has
+    no ``__eq__``, so the key is the identity of the maps.
+    """
+    out = []
+    for base in maps:
+        # reduce the parse of the text, so an instance is (text, face,
+        # edge): the dart numbering fixes the solver's choices, and a
+        # witness replayed from its text makes the same ones
+        m = parse_map(serialize_map(base.mirrored() if mirror else base),
+                      allow_parallel=True)
+        traces = tuple(run_procedure(m, f.id, deleted_edge=e)
+                       for f in m.faces if len(f) == 5
+                       for e in sorted({m.edge_id(d) for d in f.darts}))
+        out.append(_Variant(canonical_form(m) + ("/mirror" if mirror else ""),
+                            m, is_three_connected(m), traces))
+    return tuple(out)
+
+
 Judgement = tuple[dict, bool, Optional[dict]]   # (detail, ok, witness)
 
 
-def _check_reductions(maps: list[RotationMap], mirrors: bool, judge
+def _check_reductions(maps: tuple[RotationMap, ...], mirrors: bool, judge
                       ) -> tuple[list[tuple[str, dict]], list[InstanceRecord]]:
     """Judge the trace of every (map, pentagon, deleted edge) instance.
 
-    Mirrored copies are swept as well when requested: corpus dedup
-    identifies reflections, but the reduction's outcome can depend on the
-    orientation.  ``judge(m, trace)`` returns the instance's detail
-    row, its verdict and the witness data, which is read only for a
-    violation.
+    Mirrored copies are swept as well when requested, each right after
+    its map: corpus dedup identifies reflections, but the reduction's
+    outcome can depend on the orientation.  ``judge(variant, trace)``
+    returns the instance's detail row, its verdict and the witness data,
+    which is read only for a violation.
     """
+    sides = [_variants(maps, False)]
+    if mirrors:
+        sides.append(_variants(maps, True))
     violations = []
     instances = []
-    for base in maps:
-        variants = [(serialize_map(base), "")]
-        if mirrors:
-            variants.append((serialize_map(base.mirrored()), "/mirror"))
-        for text, tag in variants:
-            # reduce the parse of the text, so an instance is (text, face,
-            # edge): the dart numbering fixes the solver's choices, and a
-            # witness replayed from its text makes the same ones
-            m = parse_map(text, allow_parallel=True)
-            key = canonical_form(m) + tag
-            for f in m.faces:
-                if len(f) != 5:
-                    continue
-                for e in sorted({m.edge_id(d) for d in f.darts}):
-                    tr = _traced(m, text, f.id, e)
-                    detail, ok, witness = judge(m, tr)
-                    instances.append(InstanceRecord(key, detail, ok))
-                    if not ok:
-                        violations.append((tr.map_text, witness))
+    for variants in zip(*sides):
+        for v in variants:
+            for tr in v.traces:
+                detail, ok, witness = judge(v, tr)
+                instances.append(InstanceRecord(v.key, detail, ok))
+                if not ok:
+                    violations.append((tr.map_text, witness))
     return violations, instances
 
 
-def _judge_pattern_law(m: RotationMap, tr: ReductionTrace) -> Judgement:
+def _judge_pattern_law(v: _Variant, tr: ReductionTrace) -> Judgement:
     detail = {"pentagon": tr.pentagon, "edge": list(tr.deleted_edge),
-              "n": m.vertex_count}
+              "n": v.map.vertex_count}
     if tr.anomaly == ANOMALY_NO_TAIT:
         detail["skipped"] = "smaller map has no Tait coloring"
         return detail, True, None
@@ -494,7 +512,7 @@ def _judge_pattern_law(m: RotationMap, tr: ReductionTrace) -> Judgement:
         "pentagon": tr.pentagon, "edge": list(tr.deleted_edge), "bad_patterns": bad}
 
 
-def _judge_chain_existence(m: RotationMap, tr: ReductionTrace) -> Judgement:
+def _judge_chain_existence(v: _Variant, tr: ReductionTrace) -> Judgement:
     """Trail cycles through the hub must agree with chain walk pairings."""
     if tr.initial_coloring is None or tr.contracted_map is None:
         return {"pentagon": tr.pentagon, "skipped": "no coloring"}, True, None
@@ -529,7 +547,7 @@ def _judge_chain_existence(m: RotationMap, tr: ReductionTrace) -> Judgement:
             {"pentagon": tr.pentagon, "edge": list(tr.deleted_edge)})
 
 
-def _judge_inversion_safety(m: RotationMap, tr: ReductionTrace) -> Judgement:
+def _judge_inversion_safety(v: _Variant, tr: ReductionTrace) -> Judgement:
     """Replay the trace, validating parity and properness after each step."""
     if tr.initial_coloring is None:
         return {"pentagon": tr.pentagon, "skipped": "no coloring"}, True, None
@@ -538,7 +556,7 @@ def _judge_inversion_safety(m: RotationMap, tr: ReductionTrace) -> Judgement:
             {"pentagon": tr.pentagon, "edge": list(tr.deleted_edge)})
 
 
-def _judge_no_recurrence(m: RotationMap, tr: ReductionTrace) -> Judgement:
+def _judge_no_recurrence(v: _Variant, tr: ReductionTrace) -> Judgement:
     seq = []
     after_l2 = False
     recurrence = False
@@ -553,15 +571,15 @@ def _judge_no_recurrence(m: RotationMap, tr: ReductionTrace) -> Judgement:
     detail = {"pentagon": tr.pentagon, "edge": list(tr.deleted_edge),
               "topologies": seq, "anomaly": tr.anomaly,
               "succeeded": tr.succeeded,
-              "three_connected": is_three_connected(m)}
+              "three_connected": v.three_connected}
     if recurrence:
         return detail, False, {**detail, "trace": tr.to_jsonl()}
     return detail, True, None
 
 
-def _judge_always_expands(m: RotationMap, tr: ReductionTrace) -> Judgement:
+def _judge_always_expands(v: _Variant, tr: ReductionTrace) -> Judgement:
     detail = {"pentagon": tr.pentagon, "edge": list(tr.deleted_edge),
-              "anomaly": tr.anomaly, "three_connected": is_three_connected(m)}
+              "anomaly": tr.anomaly, "three_connected": v.three_connected}
     if tr.anomaly == ANOMALY_NO_TAIT:
         # the premise (a colorable smaller map) fails; record, don't blame
         detail["skipped"] = "smaller map has no Tait coloring"

@@ -65,16 +65,11 @@ class NoPentagon(KempeError):
 
 @dataclass(frozen=True)
 class KempeChain:
-    """A connected edge set drawn from two color classes.
-
-    ``find_chain`` returns maximal chains; the reduction also inverts
-    single cycles of a chain, represented with ``maximal=False``.
-    """
+    """A connected edge set drawn from two color classes."""
 
     host: RotationMap
     color_pair: frozenset[EdgeColor]
     edges: frozenset[int]
-    maximal: bool = True
 
     @property
     def is_simple_cycle(self) -> bool:
@@ -147,7 +142,7 @@ def cycle_through(m: RotationMap, ec: EdgeColoring, hub: int, hub_dart: int,
     """The unique two-colored simple cycle through one hub dart."""
     walk, _end = _pair_walk(m, ec, hub_dart, pair, hub)
     edges = frozenset(m.edge_id(d) for d in walk)
-    return KempeChain(m, pair, edges, maximal=False)
+    return KempeChain(m, pair, edges)
 
 
 def hub_pairing(m: RotationMap, ec: EdgeColoring, hub: int,
@@ -340,20 +335,27 @@ def expand_vertex(m: RotationMap, ec: EdgeColoring, record: ContractionRecord
         cs = [colors[e] for e in vert_edges[v] if e in colors]
         return len(cs) == len(set(cs))
 
-    def assign(i: int) -> bool:
+    # depth-first over the boundary edges in walk order, colours in
+    # EDGE_ORDER; tried[i] counts the colours tried at position i
+    tried = [0] * k
+    i = 0
+    while True:
         if i == k:
-            return all(consistent(v) for v in bverts)
+            if all(consistent(v) for v in bverts):
+                break
+            i -= 1
         e = boundary[i]
-        for c in EDGE_ORDER:
-            colors[e] = c
-            if (all(consistent(w) for w in parent.edge_endpoints(e))
-                    and assign(i + 1)):
-                return True
-            del colors[e]
-        return False
-
-    if not assign(0):
-        return None
+        colors.pop(e, None)
+        if tried[i] == len(EDGE_ORDER):
+            if i == 0:
+                return None
+            tried[i] = 0
+            i -= 1
+            continue
+        colors[e] = EDGE_ORDER[tried[i]]
+        tried[i] += 1
+        if all(consistent(w) for w in parent.edge_endpoints(e)):
+            i += 1
     full = EdgeColoring(dict(sorted(colors.items())))
     if verify_coloring(parent, full):
         return None  # extension claimed proper but is not; treat as absent
@@ -699,8 +701,7 @@ def replay_inversions(trace: ReductionTrace) -> bool:
             ec = _apply_permutation(ec, perm)
         elif isinstance(ev, Inverted):
             pair = frozenset(EdgeColor.parse(ch) for ch in ev.pair)
-            ec = invert_chain(ec, KempeChain(m, pair, frozenset(ev.edges),
-                                             maximal=False))
+            ec = invert_chain(ec, KempeChain(m, pair, frozenset(ev.edges)))
         else:
             continue
         try:

@@ -288,7 +288,8 @@ def from_neighbor_lists(lists: Sequence[Sequence[int]],
     for u, row in enumerate(lists):
         for v in row:
             if not 0 <= v < n:
-                raise MalformedInput(f"neighbor {v} out of range at vertex {u}")
+                raise MalformedInput(
+                    f"neighbor {v + 1} out of range at vertex {u + 1}")
             origin.append(u)
         dart_ids.append(list(range(k, k + len(row))))
         k += len(row)
@@ -369,17 +370,10 @@ def parse_map(text: str, allow_parallel: bool = False) -> RotationMap:
             raise MalformedInput(f"vertex {u} out of range 1..{n}")
         if u in rows:
             raise MalformedInput(f"vertex {u} listed twice")
-        for v in neigh:
-            if not 1 <= v <= n:
-                raise MalformedInput(f"neighbor {v} out of range at vertex {u}")
         rows[u] = neigh
     if len(rows) != n:
         raise MalformedInput("some vertex line is missing")
     lists = [[v - 1 for v in rows[u]] for u in range(1, n + 1)]
-    for u in range(n):
-        for v in set(lists[u]):
-            if u != v and lists[u].count(v) != lists[v].count(u):
-                raise NonReciprocal(f"vertex {u + 1} lists {v + 1} but not back")
     return from_neighbor_lists(lists, allow_parallel=allow_parallel)
 
 

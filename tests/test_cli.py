@@ -125,6 +125,22 @@ def test_claim_csv(capsys):
     assert out.splitlines()[0] == "claim,map_key,ok,detail"
 
 
+def test_claim_several_ids_concatenate_their_reports(capsys):
+    def masked(out):
+        rows = [json.loads(line) for line in out.splitlines()]
+        for rec in rows:
+            rec.pop("runtime_s", None)
+        return rows
+
+    args = ["--maps", str(DATA / "recurrence14.map"), "--format", "jsonl"]
+    single = []
+    for claim in ("C2", "C5"):
+        main(["claim", claim, *args])
+        single += masked(capsys.readouterr().out)
+    assert main(["claim", "C2", "C5", *args]) == 1
+    assert masked(capsys.readouterr().out) == single
+
+
 def test_reduce_svg_highlights_hub_and_tints_edges(tmp_path):
     svg = tmp_path / "hub.svg"
     main(["reduce", DODECA, "--pentagon", "0", "--svg", str(svg)])

@@ -4,11 +4,11 @@ import random
 
 import pytest
 
-from tetracolor.harness import (_DIPOLE, GenConfig, HarnessError, OddOrder,
-                                UnknownClaim, UnsupportedFormat, _automorphisms,
-                                _exhaustive_level, canonical_form, check_claim,
-                                corpus, emit_report, generate,
-                                insert_edge_across_face)
+from tetracolor.harness import (_DIPOLE, CLAIM_IDS, GenConfig, HarnessError,
+                                OddOrder, UnknownClaim, UnsupportedFormat,
+                                _automorphisms, _exhaustive_level,
+                                canonical_form, check_claim, corpus,
+                                emit_report, generate, insert_edge_across_face)
 from tetracolor.planar_map import (from_neighbor_lists, parse_map,
                                    serialize_map, validate)
 
@@ -192,6 +192,11 @@ class TestGenerate:
                                              serialize_map(child))
             assert _exhaustive_level(n) == tuple(sorted(found.items()))
 
+    def test_level_cache_keeps_one_level(self):
+        corpus(12)
+        info = _exhaustive_level.cache_info()
+        assert info.maxsize == info.currsize == 1
+
     def test_every_emitted_map_validates(self):
         for n in (4, 6, 8, 10):
             for m in generate(GenConfig(n)):
@@ -249,7 +254,6 @@ class TestCheckClaim:
         # a relabelled copy is isomorphic to the witness map but numbered
         # differently, so its reductions start elsewhere and must not reuse
         # the original's traces
-        from tetracolor import harness
         lists = recurrence14.neighbor_lists()
         perm = list(range(len(lists)))
         random.Random(7).shuffle(perm)
@@ -257,9 +261,7 @@ class TestCheckClaim:
         for v, row in enumerate(lists):
             new[perm[v]] = [perm[w] for w in row]
         relabelled = parse_map(serialize_map(from_neighbor_lists(new)))
-        harness._trace_memo.clear()
         fresh = check_claim("C5", [relabelled])
-        harness._trace_memo.clear()
         check_claim("C5", [recurrence14])
         after = check_claim("C5", [relabelled])
         assert after.violations == fresh.violations
@@ -269,14 +271,11 @@ class TestCheckClaim:
         # mirrored() numbers darts unlike the parse of its own text; its
         # report must equal that of the reparse, checked before or after
         # it, and every witness must replay from its map text
-        from tetracolor import harness
         from tetracolor.kempe import run_procedure
         mirror = recurrence14.mirrored()
         reparse = parse_map(serialize_map(mirror))
-        harness._trace_memo.clear()
         first = check_claim("C5", [mirror])
         after = check_claim("C5", [reparse])
-        harness._trace_memo.clear()
         fresh = check_claim("C5", [reparse])
         assert first.violations
         assert first.violations == after.violations == fresh.violations
@@ -286,6 +285,28 @@ class TestCheckClaim:
             again = run_procedure(m, witness["pentagon"],
                                   deleted_edge=m.find_edge(u - 1, v - 1))
             assert again.to_jsonl() == witness["trace"]
+
+    def test_sweep_reduces_every_instance_once(self, corpus12, monkeypatch):
+        from tetracolor import harness
+        inner = harness.run_procedure
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return inner(*args, **kwargs)
+
+        harness._variants.cache_clear()
+        monkeypatch.setattr(harness, "run_procedure", counted)
+        reports = {c: check_claim(c, corpus12) for c in CLAIM_IDS}
+        assert len(calls) == reports["C4"].instances_checked > 0
+
+    def test_variant_cache_keeps_the_last_corpus(self, corpus12, recurrence14):
+        from tetracolor import harness
+        for maps in (corpus12, [recurrence14]):
+            for claim in ("C2", "C5"):
+                check_claim(claim, maps)
+        assert harness._variants.cache_info().maxsize == 2
+        assert harness._variants.cache_info().currsize <= 2
 
     def test_checkers_do_not_mutate_maps(self, corpus12):
         before = [serialize_map(m) for m in corpus12]

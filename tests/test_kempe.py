@@ -1,3 +1,4 @@
+import gc
 import json
 
 import pytest
@@ -179,6 +180,19 @@ class TestExpandVertex:
         ec = find_tait_coloring(cmap)
         with pytest.raises(DegreeMismatch):
             expand_vertex(cmap, ec, record)
+
+    def test_expansion_leaves_no_reference_cycle(self, dodecahedron):
+        # a search that refers to itself would keep its colours alive
+        # until the cyclic collector runs
+        ec = run_procedure(dodecahedron, 0).final_coloring
+        cmap, record = contract_face(dodecahedron, 0)
+        gc.collect()
+        gc.disable()
+        try:
+            assert expand_vertex(cmap, ec, record) is not None
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_non_contiguous_pattern_does_not_expand(self, recurrence14):
         tr = run_procedure(recurrence14, 0,
