@@ -193,9 +193,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="one or more of " + " ".join(har.CLAIM_IDS))
     sp.add_argument("--n-max", type=int, default=12)
     sp.add_argument("--format", choices=("jsonl", "csv", "text"), default="text")
-    sp.add_argument("--maps", nargs="*", default=None, metavar="MAPFILE",
-                    help="check these externally generated maps instead of "
-                         "the exhaustive corpus")
+    sp.add_argument("--maps", action="append", metavar="MAPFILE",
+                    help="check this externally generated map instead of the "
+                         "exhaustive corpus; repeat the flag for more maps")
     sp.set_defaults(fn=cmd_claim)
     return p
 

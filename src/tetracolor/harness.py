@@ -10,8 +10,18 @@ Each level keeps the first child seen per canonical key.  Insertions in
 one orbit of the parent's automorphisms give isomorphic children, so only
 the first insertion of each orbit is tried (the orbit pruning of McKay's
 canonical construction path); the kept texts are the same as when every
-insertion is tried.  Random mode walks seeded insertion chains from K4
-and stays simple.
+insertion is tried.
+
+Generation looks ahead to the top order it must reach.  Let p(m) be
+Σ (multiplicity − 1) over the vertex pairs of m.  An insertion lowers p
+by at most 2, so a map of order n with p > top − n cannot become simple
+by order top, and the insertions that would give one are skipped before
+the child is built (p of the child is read off the parent).  Every
+parent of a child within the budget is within its own, and the kept
+children are tried in the same order as in the full level, so the first
+text kept per key, and hence every simple map, is the same as in the
+full multigraph level.  Random mode walks seeded insertion chains from
+K4 and stays simple.
 
 Each claim checker sweeps a corpus, returns a report with replayable
 witnesses for every violation, and never mutates corpus maps.  C2..C6
@@ -25,9 +35,10 @@ from __future__ import annotations
 import json
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .coloring import EdgeColor, find_tait_coloring, verify_coloring
 from .dscc import EvenSubgraph, trail_decompose
@@ -260,17 +271,46 @@ _DIPOLE = parse_map("2\n1: 2 2 2\n2: 1 1 1\n", allow_parallel=True)
 K4_TEXT = "4\n1: 2 4 3\n2: 3 4 1\n3: 1 4 2\n4: 1 2 3\n"
 
 
-def _insertions(m: RotationMap) -> Iterator[RotationMap]:
+def _child_excess(m: RotationMap) -> Callable[[int, int], int]:
+    """p of the child with a chord between the edges of darts a and b of
+    one face (a == b splits one edge twice), read off m before building;
+    p(m) is Σ (multiplicity − 1) over the vertex pairs joined by edges.
+
+    Subdividing an edge takes it out of its parallel class; two edges of
+    one class of multiplicity k take min(2, k − 1) off that class.  The
+    chord joins two new vertices, so it is parallel only to the middle
+    piece of an edge split twice: the two make a new digon.
+    """
+    origin, twin = m._origin, m._twin
+    pair = [frozenset((origin[d], origin[t])) for d, t in enumerate(twin)]
+    darts = Counter(pair)       # two darts per edge
+    p = len(twin) // 2 - len(darts)
+    extra = [darts[s] // 2 - 1 for s in pair]   # other edges of the class
+
+    def excess(a: int, b: int) -> int:
+        if a == b:
+            return p - (extra[a] > 0) + 1
+        if pair[a] == pair[b]:
+            return p - min(2, extra[a])
+        return p - (extra[a] > 0) - (extra[b] > 0)
+    return excess
+
+
+def _insertions(m: RotationMap, budget: Optional[int] = None
+                ) -> Iterator[RotationMap]:
     """Children by every edge insertion (face f, i <= j) in (f, i, j) order,
-    skipping one when an earlier insertion gives an isomorphic child.
+    skipping one when an earlier insertion gives an isomorphic child, or
+    when the child's excess p (``_child_excess``) exceeds the budget.
 
     An automorphism maps the chord across face f between the edges of
     darts a and b onto the chord between the edges of its images, which
     lie in one face; a reversing one maps it into the mirror, whose faces
     are the twins of m's.  A digon (i == j) is the same map on either side
-    of its edge.  A skipped child is never the first with its key.
+    of its edge.  A skipped child is never the first with its key:
+    isomorphic children have equal p.
     """
     twin, face_of = m._twin, m._face_of
+    excess = _child_excess(m)
     pos = [0] * len(twin)
     for f in m.faces:
         for i, d in enumerate(f.darts):
@@ -281,12 +321,14 @@ def _insertions(m: RotationMap) -> Iterator[RotationMap]:
         walk = f.darts
         for i, a in enumerate(walk):
             for j in range(i, len(walk)):
+                b = walk[j]
+                if budget is not None and excess(a, b) > budget:
+                    continue
                 here = (f.id, i, j)
                 if i == j:
                     known = ((face_of[g[s]], pos[g[s]], pos[g[s]])
                              for g in images for s in (a, twin[a]))
                 else:
-                    b = walk[j]
                     known = ((face_of[g[a]], *sorted((pos[g[a]], pos[g[b]])))
                              for g in images)
                 if any(k < here for k in known):
@@ -295,32 +337,46 @@ def _insertions(m: RotationMap) -> Iterator[RotationMap]:
 
 
 @lru_cache(maxsize=1)
-def _exhaustive_level(n: int) -> tuple[tuple[str, str], ...]:
+def _exhaustive_level(n: int, top: Optional[int] = None
+                      ) -> tuple[tuple[str, str], ...]:
     """All loopless bridgeless cubic planar maps of order n, as
-    (canonical key, serialized text) pairs sorted by key.  Only the last
-    level stays cached: ``corpus`` asks for ascending orders, so each
-    level grows from the one before it."""
+    (canonical key, serialized text) pairs sorted by key; with ``top``,
+    only those with p <= top − n, which can still grow into a simple map
+    of order top, each with the full level's text.  Only the last level
+    stays cached: ``corpus`` asks for ascending orders with one ``top``,
+    so each level grows from the one before it.
+    """
     if n == 2:
         return ((canonical_form(_DIPOLE), serialize_map(_DIPOLE)),)
+    # recurse in the caller's call form, which is the cache's key
+    parents = (_exhaustive_level(n - 2) if top is None
+               else _exhaustive_level(n - 2, top))
+    budget = None if top is None else top - n
     found: dict[str, str] = {}
-    for _, text in _exhaustive_level(n - 2):
+    for _, text in parents:
         parent = parse_map(text, allow_parallel=True)
-        for child in _insertions(parent):
+        for child in _insertions(parent, budget):
             key = canonical_form(child)
             if key not in found:
                 found[key] = serialize_map(child)
     return tuple(sorted(found.items()))
 
 
+def _simple_maps(config: GenConfig, top: int) -> Iterator[RotationMap]:
+    """The simple maps of the config's order, from the chain that looks
+    ahead to order top."""
+    for _, text in _exhaustive_level(config.vertex_count, top):
+        m = parse_map(text, allow_parallel=True)
+        report = validate(m)
+        if report.simple:
+            assert report.all_ok
+            yield m
+
+
 def generate(config: GenConfig) -> Iterator[RotationMap]:
     """Stream corpus maps; every emitted map passes validate with all flags."""
     if config.mode == "exhaustive":
-        for _, text in _exhaustive_level(config.vertex_count):
-            m = parse_map(text, allow_parallel=True)
-            report = validate(m)
-            if report.simple:
-                assert report.all_ok
-                yield m
+        yield from _simple_maps(config, config.vertex_count)
         return
     rng = random.Random(config.seed)
     emitted = 0
@@ -341,10 +397,12 @@ def generate(config: GenConfig) -> Iterator[RotationMap]:
 
 
 def corpus(n_max: int, n_min: int = 4) -> list[RotationMap]:
-    """Exhaustive corpora for every even order n_min..n_max, concatenated."""
+    """Exhaustive corpora for every even order n_min..n_max, concatenated,
+    from one chain that looks ahead to the largest of them."""
+    top = n_max - n_max % 2
     maps: list[RotationMap] = []
     for n in range(n_min, n_max + 1, 2):
-        maps.extend(generate(GenConfig(n)))
+        maps.extend(_simple_maps(GenConfig(n), top))
     return maps
 
 

@@ -141,6 +141,15 @@ def test_claim_several_ids_concatenate_their_reports(capsys):
     assert masked(capsys.readouterr().out) == single
 
 
+def test_claim_maps_flag_leaves_the_claim_ids(capsys):
+    # one path per --maps flag: the claim ids after it stay claim ids
+    witness = str(DATA / "recurrence14.map")
+    assert main(["claim", "--maps", witness, "C2"]) == 0
+    assert "instances checked: 30" in capsys.readouterr().out
+    assert main(["claim", "--maps", witness, "--maps", witness, "C2"]) == 0
+    assert "instances checked: 60" in capsys.readouterr().out
+
+
 def test_reduce_svg_highlights_hub_and_tints_edges(tmp_path):
     svg = tmp_path / "hub.svg"
     main(["reduce", DODECA, "--pentagon", "0", "--svg", str(svg)])

@@ -1,14 +1,16 @@
 import itertools
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
 from tetracolor.harness import (_DIPOLE, CLAIM_IDS, GenConfig, HarnessError,
                                 OddOrder, UnknownClaim, UnsupportedFormat,
-                                _automorphisms, _exhaustive_level,
-                                canonical_form, check_claim, corpus,
-                                emit_report, generate, insert_edge_across_face)
+                                _automorphisms, _child_excess,
+                                _exhaustive_level, canonical_form,
+                                check_claim, corpus, emit_report, generate,
+                                insert_edge_across_face, is_three_connected)
 from tetracolor.planar_map import (from_neighbor_lists, parse_map,
                                    serialize_map, validate)
 
@@ -196,6 +198,9 @@ class TestGenerate:
         corpus(12)
         info = _exhaustive_level.cache_info()
         assert info.maxsize == info.currsize == 1
+        _exhaustive_level(6)
+        _exhaustive_level(8)
+        assert _exhaustive_level.cache_info().hits == info.hits + 1
 
     def test_every_emitted_map_validates(self):
         for n in (4, 6, 8, 10):
@@ -216,6 +221,93 @@ class TestGenerate:
     def test_random_maps_validate(self):
         for m in generate(GenConfig(18, mode="random", count=5, seed=3)):
             assert validate(m).all_ok and m.vertex_count == 18
+
+
+@pytest.fixture(scope="module")
+def full_levels():
+    """The full multigraph levels of orders 2..14, grown in one chain."""
+    return {n: _exhaustive_level(n) for n in range(2, 15, 2)}
+
+
+def excess(m):
+    """Σ (multiplicity − 1) over the vertex pairs of m, counted directly."""
+    pairs = [frozenset((m.origin(d), m.head(d))) for d in range(m.dart_count)]
+    return m.edge_count - len(set(pairs))
+
+
+def simple_pairs(level):
+    return [(key, text) for key, text in level
+            if validate(parse_map(text, allow_parallel=True)).simple]
+
+
+class TestLookAhead:
+    def test_predicted_excess_matches_the_built_child(self):
+        # every insertion of every parent of the full levels up to order 12
+        cases = {"digon": 0, "class of two": 0, "larger class": 0}
+        for n in range(2, 11, 2):
+            for _, text in _exhaustive_level(n):
+                parent = parse_map(text, allow_parallel=True)
+                predict = _child_excess(parent)
+                ends = [frozenset((parent.origin(d), parent.head(d)))
+                        for d in range(parent.dart_count)]
+                for f in parent.faces:
+                    walk = f.darts
+                    for i, a in enumerate(walk):
+                        for j in range(i, len(walk)):
+                            b = walk[j]
+                            child = insert_edge_across_face(parent, f.id, i, j)
+                            assert predict(a, b) == excess(child), (text, f.id, i, j)
+                            if a == b:
+                                cases["digon"] += 1
+                            elif ends[a] == ends[b]:
+                                k = ends.count(ends[a]) // 2
+                                cases["class of two" if k == 2
+                                      else "larger class"] += 1
+        assert all(cases.values()), cases
+
+    def test_corpus_equals_the_simple_maps_of_the_full_levels(self, full_levels):
+        maps = corpus(14)
+        got = {n: [] for n in range(4, 15, 2)}
+        for m in maps:
+            got[m.vertex_count].append((canonical_form(m), serialize_map(m)))
+        for n in range(4, 15, 2):
+            assert got[n] == simple_pairs(full_levels[n])
+
+    def test_generate_looks_ahead_to_its_own_order(self, full_levels):
+        texts = [serialize_map(m) for m in generate(GenConfig(12))]
+        assert texts == [text for _, text in simple_pairs(full_levels[12])]
+        assert all(excess(parse_map(text, allow_parallel=True)) <= 12 - n
+                   for n in range(2, 13, 2)
+                   for _, text in _exhaustive_level(n, 12))
+
+
+def rooted_maps(maps):
+    """Σ 2·D/|Aut(M)| over maps: the number of rooted maps they stand for,
+    with D darts and Aut(M) holding the reversing automorphisms too."""
+    return sum(Fraction(2 * m.dart_count, len(_automorphisms(m))) for m in maps)
+
+
+class TestCompletenessAnchors:
+    def test_full_levels_count_a000309(self, full_levels):
+        # rooted bridgeless cubic planar maps with n vertices (OEIS A000309)
+        counts = [rooted_maps(parse_map(text, allow_parallel=True)
+                              for _, text in full_levels[n])
+                  for n in range(2, 15, 2)]
+        assert counts == [1, 4, 24, 176, 1456, 13056, 124032]
+
+    def test_three_connected_maps_count_a000260(self, corpus16):
+        # rooted 3-connected cubic planar maps, the duals of the rooted
+        # simplicial 3-polytopes (OEIS A000260; Tutte 1962)
+        counts = [rooted_maps(m for m in corpus16
+                              if m.vertex_count == n and is_three_connected(m))
+                  for n in range(4, 17, 2)]
+        assert counts == [1, 3, 13, 68, 399, 2530, 16965]
+
+    def test_simple_maps_rooted_counts(self, corpus16):
+        # no published sequence checked: regression numbers
+        counts = [rooted_maps(m for m in corpus16 if m.vertex_count == n)
+                  for n in range(4, 17, 2)]
+        assert counts == [1, 3, 19, 128, 909, 6737, 51683]
 
 
 class TestCheckClaim:
@@ -342,7 +434,6 @@ class TestEmitReport:
 
 class TestThreeConnectivityTag:
     def test_k4_and_witness_are_three_connected(self, k4, recurrence14):
-        from tetracolor.harness import is_three_connected
         assert is_three_connected(k4)
         assert is_three_connected(recurrence14)
 
