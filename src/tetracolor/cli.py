@@ -93,7 +93,8 @@ def cmd_reduce(args) -> int:
         edges = sorted({m.edge_id(d) for d in m.faces[pentagon].darts})
     else:
         edges = [None]
-    traces = [kp.run_procedure(m, pentagon, deleted_edge=e,
+    prepared = kp.PreparedMap(m)
+    traces = [kp.run_procedure(prepared, pentagon, deleted_edge=e,
                                step_budget=args.step_budget) for e in edges]
     ok = True
     jsonl = []

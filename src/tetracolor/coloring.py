@@ -355,11 +355,13 @@ def verify_coloring(m: RotationMap,
 
 def _edge_violations(m: RotationMap, ec: EdgeColoring) -> list[Violation]:
     out = []
-    for v in range(m.vertex_count):
+    twin, colors = m._twin, ec.assignment
+    for v, darts in enumerate(m._vertex_darts):
         seen: dict[EdgeColor, int] = {}
-        for d in m.vertex_darts(v):
-            e = m.edge_id(d)
-            col = ec[e]
+        for d in darts:
+            t = twin[d]
+            e = d if d < t else t
+            col = colors[e]
             if col in seen and seen[col] != e:
                 out.append(Violation("vertex-color-clash", vertex=v,
                                      detail=f"vertex {v} sees {col} twice"))
@@ -436,8 +438,11 @@ def serialize_coloring(m: RotationMap,
     if isinstance(c, FaceColoring):
         lines = [f"face {f}: {c[f]}" for f in sorted(c.assignment)]
     else:
+        origin, twin, colors = m._origin, m._twin, c.assignment
         lines = []
-        for e in sorted(c.assignment):
-            u, v = m.edge_endpoints(e)
-            lines.append(f"edge {min(u, v) + 1}-{max(u, v) + 1}: {c[e]}")
+        for e in sorted(colors):
+            u, v = origin[e], origin[twin[e]]
+            if u > v:
+                u, v = v, u
+            lines.append(f"edge {u + 1}-{v + 1}: {colors[e].value}")
     return "\n".join(lines) + "\n"

@@ -76,20 +76,25 @@ class DsccDecomposition:
 
 
 def check_even(m: RotationMap, edges: frozenset[int]) -> None:
-    for v in range(m.vertex_count):
-        deg = sum(1 for d in m.vertex_darts(v) if m.edge_id(d) in edges)
-        if deg % 2:
-            raise ParityViolation(v)
+    """Raise ParityViolation at the least vertex where an odd number of
+    darts belong to the edge set."""
+    twin, origin = m._twin, m._origin
+    odd = [False] * m.vertex_count
+    for d, t in enumerate(twin):
+        if (d if d < t else t) in edges:
+            odd[origin[d]] ^= True
+    if True in odd:
+        raise ParityViolation(odd.index(True))
 
 
 def split_subgraphs(m: RotationMap,
                     ec: EdgeColoring) -> tuple[EvenSubgraph, EvenSubgraph]:
     """Blue+Green and Yellow+Green edge sets, checked even at every vertex."""
     _check_edge_domain(m, ec)
-    blue = frozenset(e for e in m.edges()
-                     if ec[e] in (EdgeColor.BLUE, EdgeColor.GREEN))
-    yellow = frozenset(e for e in m.edges()
-                       if ec[e] in (EdgeColor.YELLOW, EdgeColor.GREEN))
+    blue = frozenset(e for e, c in ec.assignment.items()
+                     if c in (EdgeColor.BLUE, EdgeColor.GREEN))
+    yellow = frozenset(e for e, c in ec.assignment.items()
+                       if c in (EdgeColor.YELLOW, EdgeColor.GREEN))
     check_even(m, blue)
     check_even(m, yellow)
     return (EvenSubgraph(blue, EdgeColor.BLUE),

@@ -42,9 +42,9 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .coloring import EdgeColor, find_tait_coloring, verify_coloring
 from .dscc import EvenSubgraph, trail_decompose
-from .kempe import (ANOMALY_NO_TAIT, Inverted, Pattern, ReductionTrace,
-                    Topology, find_chain, hub_pairing, replay_inversions,
-                    run_procedure)
+from .kempe import (ANOMALY_NO_TAIT, Inverted, Pattern, PreparedMap,
+                    ReductionTrace, Topology, find_chain, hub_pairing,
+                    replay_inversions, run_procedure)
 from .planar_map import MapError, RotationMap, parse_map, serialize_map, validate
 
 
@@ -510,7 +510,9 @@ def _variants(maps: tuple[RotationMap, ...], mirror: bool) -> tuple[_Variant, ..
     """Every map of a corpus, or its reflection, with its reductions run.
 
     The cache holds both orientations of the last corpus swept, so the
-    claims checked over one corpus share its traces.  ``RotationMap`` has
+    claims checked over one corpus share its traces.  Each variant is
+    prepared once for all its reductions, which still go one by one
+    through the module binding ``run_procedure``.  ``RotationMap`` has
     no ``__eq__``, so the key is the identity of the maps.
     """
     out = []
@@ -520,7 +522,8 @@ def _variants(maps: tuple[RotationMap, ...], mirror: bool) -> tuple[_Variant, ..
         # witness replayed from its text makes the same ones
         m = parse_map(serialize_map(base.mirrored() if mirror else base),
                       allow_parallel=True)
-        traces = tuple(run_procedure(m, f.id, deleted_edge=e)
+        prepared = PreparedMap(m)
+        traces = tuple(run_procedure(prepared, f.id, deleted_edge=e)
                        for f in m.faces if len(f) == 5
                        for e in sorted({m.edge_id(d) for d in f.darts}))
         out.append(_Variant(canonical_form(m) + ("/mirror" if mirror else ""),

@@ -14,6 +14,15 @@ A chain here is a connected subgraph of two color classes.  Away from the
 hub every vertex is properly 3-valent, so chains decompose into simple
 cycles; through the hub a maximal chain can hold two cycles ("passages"),
 and inversions always flip one whole cycle.
+
+A sweep runs many reductions on one map, so the per-map work is done once
+by ``PreparedMap``: it validates the map, serializes its text and contracts
+each pentagon on first use, and every trace of that pentagon shares the one
+contracted map.  Inside the reduction loop the coloring is a flat list
+indexed by the contracted map's darts (each edge's color sits at its edge
+id), recolored in place; the chain and pattern helpers read it through
+``ec[e]`` as they read an ``EdgeColoring``, which is built only where a
+trace records a coloring.
 """
 
 from __future__ import annotations
@@ -24,11 +33,16 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .coloring import (EDGE_ORDER, EdgeColor, EdgeColoring, find_tait_coloring,
-                       verify_coloring)
+                       serialize_coloring, verify_coloring)
 from .dscc import split_subgraphs
 from .planar_map import (ContractionRecord, MapError, RotationMap,
                          contract_face, delete_edge_suppress, serialize_map,
                          validate)
+
+
+# a coloring as the helpers read it: an EdgeColoring, or the reduction's
+# flat list holding each edge's color at its edge id
+Colors = Union[EdgeColoring, list]
 
 
 class KempeError(MapError):
@@ -89,26 +103,28 @@ class KempeChain:
         return degs
 
 
-def find_chain(m: RotationMap, ec: EdgeColoring, seed: int,
+def find_chain(m: RotationMap, ec: Colors, seed: int,
                pair: frozenset[EdgeColor]) -> KempeChain:
     """Maximal connected two-colored subgraph through the seed edge."""
     seed = m.edge_id(seed)
     if ec[seed] not in pair:
         raise SeedColorMismatch(f"seed edge {seed} is {ec[seed]}, not in {sorted(c.value for c in pair)}")
+    twin, origin, vertex_darts = m._twin, m._origin, m._vertex_darts
     seen = {seed}
     stack = [seed]
     while stack:
         e = stack.pop()
-        for v in m.edge_endpoints(e):
-            for d in m.vertex_darts(v):
-                e2 = m.edge_id(d)
+        for v in (origin[e], origin[twin[e]]):
+            for d in vertex_darts[v]:
+                t = twin[d]
+                e2 = d if d < t else t
                 if e2 not in seen and ec[e2] in pair:
                     seen.add(e2)
                     stack.append(e2)
     return KempeChain(m, pair, frozenset(seen))
 
 
-def _pair_walk(m: RotationMap, ec: EdgeColoring, start_dart: int,
+def _pair_walk(m: RotationMap, ec: Colors, start_dart: int,
                pair: frozenset[EdgeColor], stop_vertex: int
                ) -> tuple[tuple[int, ...], int]:
     """Walk the two-colored subgraph from a hub dart until the hub returns.
@@ -117,16 +133,19 @@ def _pair_walk(m: RotationMap, ec: EdgeColoring, start_dart: int,
     exactly two incident edges of the pair.  Returns the dart sequence and
     the hub dart of the arrival edge.
     """
+    twin, origin, vertex_darts = m._twin, m._origin, m._vertex_darts
     walk = [start_dart]
     d = start_dart
     while True:
-        w = m.head(d)
+        t = twin[d]
+        w = origin[t]
         if w == stop_vertex:
-            return tuple(walk), m.twin(d)
-        arrived = m.edge_id(d)
+            return tuple(walk), t
+        arrived = d if d < t else t
         nxt = None
-        for d2 in m.vertex_darts(w):
-            e2 = m.edge_id(d2)
+        for d2 in vertex_darts[w]:
+            t2 = twin[d2]
+            e2 = d2 if d2 < t2 else t2
             if e2 != arrived and ec[e2] in pair:
                 if nxt is not None:
                     raise KempeError(f"vertex {w} is not properly 3-valent in the pair")
@@ -137,7 +156,7 @@ def _pair_walk(m: RotationMap, ec: EdgeColoring, start_dart: int,
         d = nxt
 
 
-def cycle_through(m: RotationMap, ec: EdgeColoring, hub: int, hub_dart: int,
+def cycle_through(m: RotationMap, ec: Colors, hub: int, hub_dart: int,
                   pair: frozenset[EdgeColor]) -> KempeChain:
     """The unique two-colored simple cycle through one hub dart."""
     walk, _end = _pair_walk(m, ec, hub_dart, pair, hub)
@@ -145,7 +164,7 @@ def cycle_through(m: RotationMap, ec: EdgeColoring, hub: int, hub_dart: int,
     return KempeChain(m, pair, edges)
 
 
-def hub_pairing(m: RotationMap, ec: EdgeColoring, hub: int,
+def hub_pairing(m: RotationMap, ec: Colors, hub: int,
                 pair: frozenset[EdgeColor]) -> dict[int, int]:
     """How the hub darts of the two-colored subgraph pair up via walks."""
     darts = [d for d in m.vertex_darts(hub) if ec[m.edge_id(d)] in pair]
@@ -173,15 +192,22 @@ def invert_chain(ec: EdgeColoring, chain: KempeChain) -> EdgeColoring:
     edges, both on the chain) stays proper; inverting twice restores the
     input.
     """
-    a, b = sorted(chain.color_pair, key=lambda c: c.value)
-    swap = {a: b, b: a}
     assignment = dict(ec.assignment)
-    for e in chain.edges:
-        c = assignment[e]
-        if c not in swap:
-            raise KempeError(f"chain edge {e} is {c}, outside the pair")
-        assignment[e] = swap[c]
+    _invert(assignment, chain)
     return EdgeColoring(assignment)
+
+
+def _invert(colors, chain: KempeChain) -> None:
+    """invert_chain in place, on a dict or a flat list of colors."""
+    a, b = chain.color_pair
+    for e in chain.edges:
+        c = colors[e]
+        if c is a:
+            colors[e] = b
+        elif c is b:
+            colors[e] = a
+        else:
+            raise KempeError(f"chain edge {e} is {c}, outside the pair")
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +241,7 @@ class TopologyClass(enum.Enum):
     T2P = "T2p"
 
 
-def pattern_at(m: RotationMap, ec: EdgeColoring, hub: int) -> VertexPattern:
+def pattern_at(m: RotationMap, ec: Colors, hub: int) -> VertexPattern:
     """Read and validate the color pattern at a five-valent hub."""
     darts = m.vertex_darts(hub)
     if len(darts) != 5:
@@ -257,8 +283,9 @@ def _lone_index(pattern: VertexPattern) -> int:
     raise PreconditionPattern("no lone majority dart (pattern is tbci?)")
 
 
-def classify_topology(m: RotationMap, ec: EdgeColoring, hub: int,
-                      majority: EdgeColor) -> TopologyClass:
+def classify_topology(m: RotationMap, ec: Colors, hub: int,
+                      majority: EdgeColor,
+                      pattern: Optional[VertexPattern] = None) -> TopologyClass:
     """How the majority curve's two hub passages pair the four hub darts.
 
     The majority curve is the majority-plus-green subgraph; at the hub it
@@ -272,8 +299,10 @@ def classify_topology(m: RotationMap, ec: EdgeColoring, hub: int,
     shape.  The primed labels are the mirror variants, read off from
     which side of the lone dart the green singleton sits; an interleaved
     pairing cannot be drawn in the plane and raises UnclassifiedTopology.
+    ``pattern`` is pattern_at(m, ec, hub) when the caller has read it.
     """
-    pattern = pattern_at(m, ec, hub)
+    if pattern is None:
+        pattern = pattern_at(m, ec, hub)
     if pattern.tbci:
         raise PreconditionPattern("pattern is tbci; nothing to classify")
     if majority != pattern.majority:
@@ -284,13 +313,14 @@ def classify_topology(m: RotationMap, ec: EdgeColoring, hub: int,
     if any(m.head(d) == hub for d in pattern.darts):
         raise PreconditionPattern("loop at the hub")
     pair = frozenset((majority, EdgeColor.GREEN))
-    curve_darts = [d for d in pattern.darts if ec[m.edge_id(d)] in pair]
+    curve_darts = [d for d, c in zip(pattern.darts, pattern.cyclic_colors)
+                   if c in pair]
     if len(curve_darts) != 4:
         raise PreconditionPattern(
             f"majority curve has {len(curve_darts)} hub darts, want 4")
     lone_i = _lone_index(pattern)
     lone = pattern.darts[lone_i]
-    green = next(d for d in pattern.darts if ec[m.edge_id(d)] == EdgeColor.GREEN)
+    green = pattern.darts[pattern.cyclic_colors.index(EdgeColor.GREEN)]
     mirrored = pattern.cyclic_colors[(lone_i + 1) % 5] != EdgeColor.GREEN
     partner = hub_pairing(m, ec, hub, pair)
     k = curve_darts.index(lone)
@@ -307,7 +337,7 @@ def classify_topology(m: RotationMap, ec: EdgeColoring, hub: int,
 # pentagon expansion
 # ---------------------------------------------------------------------------
 
-def expand_vertex(m: RotationMap, ec: EdgeColoring, record: ContractionRecord
+def expand_vertex(m: RotationMap, ec: Colors, record: ContractionRecord
                   ) -> Optional[tuple[RotationMap, EdgeColoring]]:
     """Restore the contracted pentagon and extend the coloring onto it.
 
@@ -328,8 +358,9 @@ def expand_vertex(m: RotationMap, ec: EdgeColoring, record: ContractionRecord
     bverts = record.boundary_vertices
     k = len(boundary)
 
-    vert_edges = [[parent.edge_id(d) for d in parent.vertex_darts(v)]
-                  for v in range(parent.vertex_count)]
+    # the boundary edges join boundary vertices, the only ones checked
+    vert_edges = {v: [parent.edge_id(d) for d in parent.vertex_darts(v)]
+                  for v in bverts}
 
     def consistent(v: int) -> bool:
         cs = [colors[e] for e in vert_edges[v] if e in colors]
@@ -490,32 +521,45 @@ class ReductionTrace:
 _PAIR_BY = frozenset((EdgeColor.BLUE, EdgeColor.YELLOW))
 
 
-def _word(m: RotationMap, ec: EdgeColoring, hub: int) -> str:
+def _word(m: RotationMap, ec: Colors, hub: int) -> str:
     return "".join(ec[m.edge_id(d)].value for d in m.vertex_darts(hub))
 
 
-def _apply_permutation(ec: EdgeColoring,
-                       perm: dict[EdgeColor, EdgeColor]) -> EdgeColoring:
-    return EdgeColoring({e: perm.get(c, c) for e, c in ec.assignment.items()})
+class PreparedMap:
+    """A map made ready for many reductions.
 
-
-def _transfer_coloring(contracted_edges: dict[int, int],
-                       small_edges: dict[int, int],
-                       ec_small: EdgeColoring) -> EdgeColoring:
-    """Pull the smaller map's coloring onto the contracted map.
-
-    ``contracted_edges`` maps contracted-map edges to original edges;
-    ``small_edges`` sends each surviving original edge to the smaller-map
-    edge that carries it.
+    It is validated and its text serialized once, and each pentagon is
+    contracted on first use; every trace of that pentagon shares the one
+    contracted map, which like every RotationMap is immutable.  Raises
+    NoPentagon when the map is not a connected cubic bridgeless planar map.
     """
-    return EdgeColoring({child_edge: ec_small[small_edges[parent_edge]]
-                         for child_edge, parent_edge in contracted_edges.items()})
+
+    __slots__ = ("map", "text", "_contracted")
+
+    def __init__(self, m: RotationMap):
+        report = validate(m)
+        if not (report.connected and report.cubic and report.bridgeless and report.planar):
+            raise NoPentagon("reduction needs a connected cubic bridgeless planar map")
+        self.map = m
+        self.text = serialize_map(m)
+        self._contracted: dict[int, tuple[RotationMap, ContractionRecord]] = {}
+
+    def contracted(self, face_id: int) -> tuple[RotationMap, ContractionRecord]:
+        """contract_face(map, face_id), made once per face."""
+        if face_id not in self._contracted:
+            self._contracted[face_id] = contract_face(self.map, face_id)
+        return self._contracted[face_id]
 
 
-def run_procedure(n_map: RotationMap, pentagon: int,
+def run_procedure(n_map: Union[RotationMap, PreparedMap], pentagon: int,
                   deleted_edge: Optional[int] = None,
                   step_budget: int = 64) -> ReductionTrace:
     """Run the full pentagon reduction on one map and record every step.
+
+    ``n_map`` is a RotationMap, which is prepared on the spot, or a
+    PreparedMap, which a caller running several reductions of one map
+    builds once: it validates once, and the traces of one pentagon share
+    its contracted map.  Either gives the same trace.
 
     One pentagon edge is deleted (least edge id by default) and the
     smaller cubic map is three-edge-colored; the pentagon of the original
@@ -533,9 +577,8 @@ def run_procedure(n_map: RotationMap, pentagon: int,
       which a repeated T1/T1p classification is the disputed scenario and
       is reported as an anomaly, never silently retried.
     """
-    report = validate(n_map)
-    if not (report.connected and report.cubic and report.bridgeless and report.planar):
-        raise NoPentagon("reduction needs a connected cubic bridgeless planar map")
+    prepared = n_map if isinstance(n_map, PreparedMap) else PreparedMap(n_map)
+    n_map = prepared.map
     if not 0 <= pentagon < n_map.face_count or len(n_map.faces[pentagon]) != 5:
         raise NoPentagon(f"face {pentagon} is not a pentagon")
     walk = n_map.faces[pentagon].darts
@@ -547,12 +590,12 @@ def run_procedure(n_map: RotationMap, pentagon: int,
     deleted_edge = n_map.edge_id(deleted_edge)
 
     small, small_edges = delete_edge_suppress(n_map, deleted_edge)
-    cmap, record = contract_face(n_map, pentagon)
+    cmap, record = prepared.contracted(pentagon)
     hub = record.hub
     events: list[TraceEvent] = [
         Contracted(face_id=pentagon, hub=hub,
                    deleted_edge=tuple(x + 1 for x in n_map.edge_endpoints(deleted_edge)))]
-    trace_args = dict(map_text=serialize_map(n_map), pentagon=pentagon,
+    trace_args = dict(map_text=prepared.text, pentagon=pentagon,
                       deleted_edge=events[0].deleted_edge,
                       step_budget=step_budget, contracted_map=cmap, hub=hub)
 
@@ -561,26 +604,38 @@ def run_procedure(n_map: RotationMap, pentagon: int,
         events.append(Anomaly(ANOMALY_NO_TAIT, {"smaller_map": serialize_map(small)}))
         return ReductionTrace(events=tuple(events), **trace_args)
 
-    ec = _transfer_coloring(record.edge_map, small_edges, ec_small)
-    initial = ec
+    # pull the smaller map's coloring onto the contracted map: each
+    # contracted edge has an original edge, which a smaller-map edge carries
+    edges = cmap.edges()
+    ec = [None] * cmap.dart_count
+    for child_edge, parent_edge in record.edge_map.items():
+        ec[child_edge] = ec_small.assignment[small_edges[parent_edge]]
     phase = 0          # counts non-tbci blue-yellow inversions (L1 then L2)
     last_kind: Optional[str] = None
 
+    def coloring() -> EdgeColoring:
+        return EdgeColoring({e: ec[e] for e in edges})
+
+    initial = coloring()
+
     def snapshot() -> dict:
         return {"word": _word(cmap, ec, hub),
-                "coloring": _serialize_ec(cmap, ec),
+                "coloring": serialize_coloring(cmap, coloring()),
                 "phase": phase}
 
-    def finish() -> ReductionTrace:
+    def finish(result=None) -> ReductionTrace:
         return ReductionTrace(events=tuple(events), initial_coloring=initial,
-                              final_coloring=ec, **trace_args)
+                              final_coloring=coloring(), result=result,
+                              **trace_args)
 
+    pattern: Optional[VertexPattern] = None   # the hub pattern of ec, once read
     for _ in range(step_budget):
-        try:
-            pattern = pattern_at(cmap, ec, hub)
-        except PatternNotAllowed as exc:
-            events.append(Anomaly(ANOMALY_PATTERN, {"error": str(exc), **snapshot()}))
-            return finish()
+        if pattern is None:
+            try:
+                pattern = pattern_at(cmap, ec, hub)
+            except PatternNotAllowed as exc:
+                events.append(Anomaly(ANOMALY_PATTERN, {"error": str(exc), **snapshot()}))
+                return finish()
         events.append(Pattern(word=pattern.word, tbci=pattern.tbci,
                               majority=pattern.majority.value))
 
@@ -590,10 +645,8 @@ def run_procedure(n_map: RotationMap, pentagon: int,
                 events.append(Anomaly(ANOMALY_EXPAND_FAILURE, snapshot()))
                 return finish()
             parent, full = result
-            events.append(ExpandSuccess(coloring=_serialize_ec(parent, full)))
-            return ReductionTrace(events=tuple(events), initial_coloring=initial,
-                                  final_coloring=ec, result=(parent, full),
-                                  **trace_args)
+            events.append(ExpandSuccess(coloring=serialize_coloring(parent, full)))
+            return finish(result)
 
         if any(cmap.head(d) == hub for d in pattern.darts):
             events.append(Anomaly(ANOMALY_CHORDED_PENTAGON, snapshot()))
@@ -605,13 +658,15 @@ def run_procedure(n_map: RotationMap, pentagon: int,
             lone_i = _lone_index(pattern)
             cw_color = pattern.cyclic_colors[(lone_i + 1) % 5]
             perm = {EdgeColor.GREEN: cw_color, cw_color: EdgeColor.GREEN}
-            ec = _apply_permutation(ec, perm)
+            for e in edges:
+                ec[e] = perm.get(ec[e], ec[e])
             events.append(Normalized(permutation=tuple(sorted(
                 (a.value, b.value) for a, b in perm.items()))))
+            pattern = None
             continue
 
         try:
-            topo = classify_topology(cmap, ec, hub, pattern.majority)
+            topo = classify_topology(cmap, ec, hub, pattern.majority, pattern)
         except UnclassifiedTopology as exc:
             events.append(Anomaly(ANOMALY_UNCLASSIFIED, {"error": str(exc), **snapshot()}))
             return finish()
@@ -625,18 +680,19 @@ def run_procedure(n_map: RotationMap, pentagon: int,
             # the passage cycle through the green dart also holds the lone
             # majority dart here; inverting it must force tbci
             pair = frozenset((pattern.majority, EdgeColor.GREEN))
-            green_dart = next(d for d in pattern.darts
-                              if ec[cmap.edge_id(d)] == EdgeColor.GREEN)
+            green_dart = pattern.darts[pattern.cyclic_colors.index(EdgeColor.GREEN)]
             cycle = cycle_through(cmap, ec, hub, green_dart, pair)
-            candidate = invert_chain(ec, cycle)
-            if not pattern_at(cmap, candidate, hub).tbci:
+            _invert(ec, cycle)
+            after = pattern_at(cmap, ec, hub)
+            if not after.tbci:
+                _invert(ec, cycle)   # the anomaly reports the state before
                 events.append(Anomaly(ANOMALY_CHAIN_INEFFECTIVE, snapshot()))
                 return finish()
-            ec = candidate
+            pattern = after
             events.append(Inverted(inversion="auxiliary",
                                    pair=_pair_str(pair), seed_dart=green_dart,
                                    edges=tuple(sorted(cycle.edges)),
-                                   word_after=_word(cmap, ec, hub)))
+                                   word_after=pattern.word))
             last_kind = "auxiliary"
             continue
 
@@ -656,16 +712,16 @@ def run_procedure(n_map: RotationMap, pentagon: int,
                 return finish()
             seed = singles[0]
         cycle = cycle_through(cmap, ec, hub, seed, _PAIR_BY)
-        ec = invert_chain(ec, cycle)
-        now_tbci = pattern_at(cmap, ec, hub).tbci
-        if now_tbci:
+        _invert(ec, cycle)
+        pattern = pattern_at(cmap, ec, hub)
+        if pattern.tbci:
             kind = "auxiliary"
         else:
             kind = "L1" if phase == 0 else "L2"
             phase += 1
         events.append(Inverted(inversion=kind, pair="BY", seed_dart=seed,
                                edges=tuple(sorted(cycle.edges)),
-                               word_after=_word(cmap, ec, hub)))
+                               word_after=pattern.word))
         last_kind = kind
 
     events.append(Anomaly(ANOMALY_BUDGET, snapshot()))
@@ -674,11 +730,6 @@ def run_procedure(n_map: RotationMap, pentagon: int,
 
 def _pair_str(pair: frozenset[EdgeColor]) -> str:
     return "".join(c.value for c in sorted(pair, key=lambda c: c.value))
-
-
-def _serialize_ec(m: RotationMap, ec: EdgeColoring) -> str:
-    from .coloring import serialize_coloring
-    return serialize_coloring(m, ec)
 
 
 def replay_inversions(trace: ReductionTrace) -> bool:
@@ -694,11 +745,15 @@ def replay_inversions(trace: ReductionTrace) -> bool:
         return True
     ec = trace.initial_coloring
     m, hub = trace.contracted_map, trace.hub
+    # the edge ids at every 3-valent vertex other than the hub
+    corners = [tuple(m.edge_id(d) for d in darts)
+               for v, darts in enumerate(m._vertex_darts)
+               if v != hub and len(darts) == 3]
     for ev in trace.events:
         if isinstance(ev, Normalized):
             perm = {EdgeColor.parse(a): EdgeColor.parse(b)
                     for a, b in ev.permutation}
-            ec = _apply_permutation(ec, perm)
+            ec = EdgeColoring({e: perm.get(c, c) for e, c in ec.assignment.items()})
         elif isinstance(ev, Inverted):
             pair = frozenset(EdgeColor.parse(ch) for ch in ev.pair)
             ec = invert_chain(ec, KempeChain(m, pair, frozenset(ev.edges)))
@@ -708,8 +763,8 @@ def replay_inversions(trace: ReductionTrace) -> bool:
             split_subgraphs(m, ec)
         except MapError:
             return False
-        if any(len({ec[m.edge_id(d)] for d in m.vertex_darts(v)}) != 3
-               for v in range(m.vertex_count) if v != hub and m.degree(v) == 3):
+        colors = ec.assignment
+        if any(len({colors[e] for e in corner}) != 3 for corner in corners):
             return False
     return ec == trace.final_coloring
 

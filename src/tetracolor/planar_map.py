@@ -106,7 +106,7 @@ class RotationMap:
     """
 
     __slots__ = ("_twin", "_origin", "_next", "_vertex_count", "_faces",
-                 "_face_of", "_vertex_darts")
+                 "_face_of", "_vertex_darts", "_edges")
 
     def __init__(self, twin: Sequence[int], origin: Sequence[int],
                  next_at_vertex: Sequence[int], vertex_count: int):
@@ -122,6 +122,7 @@ class RotationMap:
         self._check_structure()
         self._vertex_darts = self._collect_vertex_darts()
         self._faces, self._face_of = self._derive_faces()
+        self._edges: Optional[tuple[int, ...]] = None
 
     # -- basic accessors ---------------------------------------------------
 
@@ -175,7 +176,11 @@ class RotationMap:
         return d if d < t else t
 
     def edges(self) -> tuple[int, ...]:
-        return tuple(d for d in range(self.dart_count) if d < self._twin[d])
+        """Edge ids in increasing order, computed on first use."""
+        if self._edges is None:
+            twin = self._twin
+            self._edges = tuple(d for d in range(len(twin)) if d < twin[d])
+        return self._edges
 
     def edge_endpoints(self, e: int) -> tuple[int, int]:
         return self._origin[e], self._origin[self._twin[e]]
@@ -207,39 +212,39 @@ class RotationMap:
     # -- structure checks and face derivation --------------------------------
 
     def _check_structure(self) -> None:
-        n = self.dart_count
+        twin, nxt, origin = self._twin, self._next, self._origin
+        n, nv = len(twin), self._vertex_count
         seen_next = [False] * n
         for d in range(n):
-            t = self._twin[d]
-            if t == d or not 0 <= t < n or self._twin[t] != d:
+            t = twin[d]
+            if t == d or not 0 <= t < n or twin[t] != d:
                 raise MalformedInput(f"twin is not a fixed-point-free involution at dart {d}")
-            nx = self._next[d]
-            if not 0 <= nx < n or self._origin[nx] != self._origin[d]:
+            nx = nxt[d]
+            if not 0 <= nx < n or origin[nx] != origin[d]:
                 raise MalformedInput(f"rotation leaves vertex at dart {d}")
-            if not 0 <= self._origin[d] < self._vertex_count:
+            if not 0 <= origin[d] < nv:
                 raise MalformedInput(f"dart {d} has origin out of range")
             if seen_next[nx]:
                 raise MalformedInput("rotation is not a permutation")
             seen_next[nx] = True
 
     def _collect_vertex_darts(self) -> tuple[tuple[int, ...], ...]:
+        nxt = self._next
         first: list[Optional[int]] = [None] * self._vertex_count
-        for d in range(self.dart_count):
-            v = self._origin[d]
+        for d, v in enumerate(self._origin):
             if first[v] is None:
                 first[v] = d
         out: list[tuple[int, ...]] = []
         covered = 0
-        for v in range(self._vertex_count):
-            d0 = first[v]
+        for d0 in first:
             if d0 is None:
                 out.append(())
                 continue
             darts = [d0]
-            cur = self._next[d0]
+            cur = nxt[d0]
             while cur != d0:
                 darts.append(cur)
-                cur = self._next[cur]
+                cur = nxt[cur]
             covered += len(darts)
             out.append(tuple(darts))
         if covered != self.dart_count:
@@ -247,18 +252,19 @@ class RotationMap:
         return tuple(out)
 
     def _derive_faces(self) -> tuple[tuple[Face, ...], tuple[int, ...]]:
-        n = self.dart_count
-        face_of = [-1] * n
+        twin, nxt = self._twin, self._next
+        face_of = [-1] * len(twin)
         walks: list[tuple[int, ...]] = []
-        for d0 in range(n):
+        for d0 in range(len(twin)):
             if face_of[d0] >= 0:
                 continue
             walk = []
+            f = len(walks)
             cur = d0
             while face_of[cur] < 0:
-                face_of[cur] = len(walks)
+                face_of[cur] = f
                 walk.append(cur)
-                cur = self._next[self._twin[cur]]
+                cur = nxt[twin[cur]]
             walks.append(tuple(walk))
         faces = tuple(Face(i, w) for i, w in enumerate(walks))
         return faces, tuple(face_of)
@@ -465,38 +471,23 @@ def find_bridges(m: RotationMap) -> list[int]:
 # surgeries
 # ---------------------------------------------------------------------------
 
-def _rotation_dicts(m: RotationMap) -> tuple[dict[int, int], dict[int, int], dict[int, int]]:
-    twin = {d: m.twin(d) for d in range(m.dart_count)}
-    origin = {d: m.origin(d) for d in range(m.dart_count)}
-    nxt = {d: m.next(d) for d in range(m.dart_count)}
-    return twin, origin, nxt
-
-
-def _remove_from_rotation(nxt: dict[int, int], d: int) -> None:
-    prev = d
-    while nxt[prev] != d:
-        prev = nxt[prev]
-    if prev == d:
-        raise DegenerateSurgery("removing the last dart at a vertex")
-    nxt[prev] = nxt[d]
-    del nxt[d]
-
-
-def _compact(twin: dict[int, int], origin: dict[int, int],
-             nxt: dict[int, int], vertex_alive: list[bool]
-             ) -> tuple[list[int], list[int], list[int], int,
-                        dict[int, int], dict[int, int]]:
-    """Renumber live darts and vertices in increasing order."""
-    live = sorted(twin)
-    dmap = {d: i for i, d in enumerate(live)}
-    vmap: dict[int, int] = {}
+def _compact(twin: Sequence[int], origin: Sequence[int], nxt: Sequence[int],
+             dead: list[bool], vertex_alive: list[bool]
+             ) -> tuple[list[int], list[int], list[int], int, list[int], list[int]]:
+    """Renumber the live darts and vertices in increasing order; the dart
+    and vertex maps hold -1 for what died."""
+    live = [d for d in range(len(twin)) if not dead[d]]
+    dmap = [-1] * len(twin)
+    for i, d in enumerate(live):
+        dmap[d] = i
+    vmap = [-1] * len(vertex_alive)
+    nverts = 0
     for v, alive in enumerate(vertex_alive):
         if alive:
-            vmap[v] = len(vmap)
-    new_twin = [dmap[twin[d]] for d in live]
-    new_origin = [vmap[origin[d]] for d in live]
-    new_next = [dmap[nxt[d]] for d in live]
-    return new_twin, new_origin, new_next, len(vmap), dmap, vmap
+            vmap[v] = nverts
+            nverts += 1
+    return ([dmap[twin[d]] for d in live], [vmap[origin[d]] for d in live],
+            [dmap[nxt[d]] for d in live], nverts, dmap, vmap)
 
 
 def delete_edge_suppress(m: RotationMap, edge: int
@@ -506,8 +497,9 @@ def delete_edge_suppress(m: RotationMap, edge: int
     Each endpoint drops to degree 2 and is removed by splicing its two
     remaining edges into one.  The result is cubic again and may contain
     parallel edges.  Returns the child and the edge map, which sends every
-    surviving parent edge id to the child edge id that carries it; the two
-    spliced child edges each carry two parent edges.
+    surviving parent edge id to the child edge id that carries it; the
+    spliced child edges carry two parent edges each, or one carries three
+    when the deleted edge had a parallel partner.
     """
     edge = m.edge_id(edge)
     # an edge between two different faces is never a bridge
@@ -517,38 +509,37 @@ def delete_edge_suppress(m: RotationMap, edge: int
     if any(m.degree(v) != 3 for v in range(m.vertex_count)):
         raise NotCubic("delete_edge_suppress requires a cubic map")
 
-    twin, origin, nxt = _rotation_dicts(m)
-    d0, d1 = edge, m.twin(edge)
-    u, v = origin[d0], origin[d1]
+    twin = list(m._twin)
+    d0, d1 = edge, twin[edge]
+    u, v = m._origin[d0], m._origin[d1]
     if u == v:
         raise DegenerateSurgery("cannot delete a loop")
-    _remove_from_rotation(nxt, d0)
-    _remove_from_rotation(nxt, d1)
-    for d in (d0, d1):
-        del twin[d], origin[d]
-
+    dead = [False] * len(twin)
+    dead[d0] = dead[d1] = True
     vertex_alive = [True] * m.vertex_count
+    spliced: dict[int, int] = {}   # parent edge -> an edge spliced onto it
     for w in (u, v):
-        remaining = [d for d in twin if origin[d] == w]
-        if len(remaining) != 2:
-            raise DegenerateSurgery(f"vertex {w} lost its degree-2 shape")
-        p, q = remaining
+        p, q = (d for d in m.vertex_darts(w) if not dead[d])
         tp, tq = twin[p], twin[q]
         if tp == q:
             raise DegenerateSurgery("suppression would leave a free loop")
         twin[tp], twin[tq] = tq, tp
-        for d in (p, q):
-            del twin[d], origin[d], nxt[d]
+        dead[p] = dead[q] = True
         vertex_alive[w] = False
+        ep, eq = m.edge_id(p), m.edge_id(q)
+        spliced.setdefault(ep, eq)
+        spliced.setdefault(eq, ep)
 
     new_twin, new_origin, new_next, nverts, dmap, _ = _compact(
-        twin, origin, nxt, vertex_alive)
+        twin, m._origin, m._next, dead, vertex_alive)
     # child edge ids are the smaller dart of each pair, as edge_id gives them;
-    # a spliced parent edge survives through one of its two darts
+    # a spliced parent edge survives through one of its two darts, and an
+    # edge parallel to the deleted one through the edge spliced onto it
     edge_map: dict[int, int] = {}
     for e in m.edges():
         if e != edge:
-            d = dmap[e if e in dmap else m.twin(e)]
+            k = e if dmap[e] >= 0 or dmap[m.twin(e)] >= 0 else spliced[e]
+            d = dmap[k] if dmap[k] >= 0 else dmap[m.twin(k)]
             edge_map[e] = min(d, new_twin[d])
     child = RotationMap(new_twin, new_origin, new_next, nverts)
     assert child.vertex_count == m.vertex_count - 2
@@ -577,10 +568,7 @@ def contract_face(m: RotationMap, face_id: int
     if len(set(m.edge_id(d) for d in walk)) != len(walk):
         raise NonSimpleBoundary(f"face {face_id} repeats an edge")
 
-    twin, origin, nxt = _rotation_dicts(m)
     k = len(walk)
-    boundary_darts = set(walk) | {m.twin(d) for d in walk}
-
     # outer darts per corner: clockwise arc from the departure dart of the
     # walk to the dart arriving back along the previous walk edge
     outer: list[list[int]] = []
@@ -599,20 +587,22 @@ def contract_face(m: RotationMap, face_id: int
     for i in range(k):
         hub_rotation.extend(outer[(-i) % k])
 
-    for d in boundary_darts:
-        del twin[d], origin[d], nxt[d]
+    dead = [False] * m.dart_count
+    for d in walk:
+        dead[d] = dead[m.twin(d)] = True
+    origin, nxt = list(m._origin), list(m._next)
     hub_old = m.vertex_count
-    for d in hub_rotation:
-        origin[d] = hub_old
     for i, d in enumerate(hub_rotation):
+        origin[d] = hub_old
         nxt[d] = hub_rotation[(i + 1) % len(hub_rotation)]
 
     vertex_alive = [True] * (m.vertex_count + 1)
     for bv in bverts:
         vertex_alive[bv] = False
     new_twin, new_origin, new_next, nverts, dmap, vmap = _compact(
-        twin, origin, nxt, vertex_alive)
-    edge_map = {min(dmap[e], new_twin[dmap[e]]): e for e in m.edges() if e in dmap}
+        m._twin, origin, nxt, dead, vertex_alive)
+    # renumbering keeps dart order, so a live edge's smaller dart stays smaller
+    edge_map = {dmap[e]: e for e in m.edges() if dmap[e] >= 0}
     record = ContractionRecord(parent=m, hub=vmap[hub_old],
                                boundary_vertices=bverts,
                                boundary_darts=tuple(walk), edge_map=edge_map)

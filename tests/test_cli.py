@@ -1,6 +1,7 @@
 import io
 import json
 import tempfile
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -8,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tetracolor import kempe as kp
 from tetracolor.cli import main
 from tetracolor.coloring import parse_coloring, verify_coloring
-from tetracolor.planar_map import from_neighbor_lists, serialize_map
+from tetracolor.planar_map import from_neighbor_lists, parse_map, serialize_map
 
 DATA = Path(__file__).parent / "data"
 DODECA = str(DATA / "dodecahedron.map")
@@ -83,16 +85,29 @@ def test_curves_classify(tmp_path, capsys):
     assert svg.read_text().startswith("<svg")
 
 
-def test_reduce_with_trace_and_svg(tmp_path, capsys):
+def test_reduce_with_trace_and_svg(tmp_path, capsys, monkeypatch):
+    calls = Counter()
+    for name in ("validate", "contract_face"):
+        def counted(*args, _name=name, _original=getattr(kp, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(kp, name, counted)
     trace = tmp_path / "t.jsonl"
     svg = tmp_path / "m.svg"
     assert main(["reduce", DODECA, "--pentagon", "0", "--edge-policy", "all",
                  "--trace", str(trace), "--svg", str(svg)]) == 0
+    # the five reductions share one prepared map
+    assert calls == {"validate": 1, "contract_face": 1}
     out = capsys.readouterr().out
     assert out.count("expand-success") == 5
     records = [json.loads(line) for line in trace.read_text().splitlines()]
     assert sum(1 for r in records if r["kind"] == "header") == 5
     assert svg.read_text().startswith("<svg")
+    # byte for byte the traces of the plain map, each reduced on its own
+    m = parse_map(Path(DODECA).read_text())
+    edges = sorted({m.edge_id(d) for d in m.faces[0].darts})
+    assert trace.read_text() == "".join(
+        kp.run_procedure(m, 0, deleted_edge=e).to_jsonl() for e in edges)
 
 
 def test_reduce_recurrence_exit_code(capsys):

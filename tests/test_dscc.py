@@ -6,7 +6,7 @@ from tetracolor.coloring import (EdgeColor, EdgeColoring, face4_to_edge3,
                                  find_face_4coloring, find_tait_coloring,
                                  verify_coloring)
 from tetracolor.dscc import (CoverageGap, EvenSubgraph,
-                             ParityViolation, decompose, dscc_to_face4,
+                             ParityViolation, check_even, decompose, dscc_to_face4,
                              serialize_decomposition, split_subgraphs,
                              trail_decompose)
 from tetracolor.harness import GenConfig, generate
@@ -52,6 +52,41 @@ class TestSplit:
         with pytest.raises(ParityViolation) as exc:
             split_subgraphs(k4, EdgeColoring(broken))
         assert exc.value.vertex in (0, 1)
+
+    def test_parity_violation_is_the_least_odd_vertex(self, dodecahedron):
+        # two blue edges turned yellow leave 14, 17, 18 and 19 odd in both
+        # subgraphs; the blue check comes first and names the least of them
+        m = dodecahedron
+        broken = dict(find_tait_coloring(m).assignment)
+        for u, v in ((17, 18), (14, 19)):
+            e = m.find_edge(u, v)
+            assert broken[e] is EdgeColor.BLUE
+            broken[e] = EdgeColor.YELLOW
+        with pytest.raises(ParityViolation) as exc:
+            split_subgraphs(m, EdgeColoring(broken))
+        assert exc.value.vertex == 14
+        assert str(exc.value) == "odd subgraph degree at vertex 14"
+
+    def test_check_even_names_the_least_odd_vertex(self, dodecahedron):
+        m = dodecahedron
+        for edges, least in ((frozenset(m.edges()[7:30]), 8),
+                             (frozenset((m.find_edge(17, 18), m.find_edge(14, 19))), 14),
+                             (frozenset(m.edges()), 0)):
+            odd = [v for v in range(m.vertex_count)
+                   if sum(m.edge_id(d) in edges for d in m.vertex_darts(v)) % 2]
+            assert min(odd) == least
+            with pytest.raises(ParityViolation) as exc:
+                check_even(m, edges)
+            assert exc.value.vertex == least
+
+    def test_check_even_counts_a_loop_twice(self):
+        from tetracolor.planar_map import parse_map
+        m = parse_map("2\n1: 1 1 2\n2: 2 2 1\n", allow_parallel=True)
+        loop = m.find_edge(0, 0)
+        check_even(m, frozenset((loop,)))
+        with pytest.raises(ParityViolation) as exc:
+            check_even(m, frozenset(m.edges()))
+        assert exc.value.vertex == 0
 
     def test_green_edges_in_both(self, prism):
         ec = find_tait_coloring(prism)

@@ -1,23 +1,25 @@
 import gc
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tetracolor.coloring import (EdgeColor, find_tait_coloring,
-                                 verify_coloring)
+from tetracolor import harness, kempe
+from tetracolor.coloring import (EDGE_ORDER, EdgeColor, EdgeColoring,
+                                 find_tait_coloring, verify_coloring)
 from tetracolor.harness import GenConfig, generate
 from tetracolor.kempe import (ANOMALY_TOPOLOGY_RECURRENCE,
                               Contracted, DegreeMismatch, Inverted,
-                              NoPentagon, Pattern, PatternNotAllowed,
-                              PreconditionPattern, SeedColorMismatch,
-                              Topology, TopologyClass,
-                              classify_topology, expand_vertex,
-                              find_chain, hub_pairing, invert_chain,
-                              pattern_at, replay_inversions, replay_trace,
-                              run_procedure)
-from tetracolor.planar_map import contract_face
+                              KempeChain, KempeError, NoPentagon, Normalized,
+                              Pattern, PatternNotAllowed, PreconditionPattern,
+                              PreparedMap, SeedColorMismatch, Topology,
+                              TopologyClass, classify_topology, cycle_through,
+                              expand_vertex, find_chain, hub_pairing,
+                              invert_chain, pattern_at, replay_inversions,
+                              replay_trace, run_procedure)
+from tetracolor.planar_map import contract_face, parse_map, serialize_map
 
 BY = frozenset((EdgeColor.BLUE, EdgeColor.YELLOW))
 BG = frozenset((EdgeColor.BLUE, EdgeColor.GREEN))
@@ -356,3 +358,116 @@ def test_golden_trace_serialization(recurrence14):
     tr = run_procedure(recurrence14, 0,
                        deleted_edge=recurrence14.find_edge(0, 13))
     assert tr.to_jsonl() == golden
+
+
+def _instances(m):
+    """Every (pentagon, boundary edge) of m, in sweep order."""
+    return [(f.id, e) for f in m.faces if len(f) == 5
+            for e in sorted({m.edge_id(d) for d in f.darts})]
+
+
+class TestPreparedMap:
+    def test_prepared_map_gives_the_plain_maps_traces(self, corpus12, recurrence14):
+        checked = 0
+        variants = [v for m in corpus12 for v in (m, m.mirrored())]
+        for m in variants + [recurrence14]:
+            prepared = PreparedMap(m)
+            for f, e in _instances(m):
+                plain = run_procedure(m, f, deleted_edge=e)
+                tr = run_procedure(prepared, f, deleted_edge=e)
+                assert tr.events == plain.events
+                assert tr.to_jsonl() == plain.to_jsonl()
+                for a, b in ((tr.initial_coloring, plain.initial_coloring),
+                             (tr.final_coloring, plain.final_coloring)):
+                    assert a == b
+                    assert a is None or list(a.assignment) == list(b.assignment)
+                assert (tr.result is None) == (plain.result is None)
+                if tr.result is not None:
+                    assert tr.result[0] is plain.result[0] is m
+                    assert tr.result[1] == plain.result[1]
+                # the traces of one pentagon share its contraction
+                assert tr.contracted_map is prepared.contracted(f)[0]
+                checked += 1
+        assert checked > 500
+
+    def test_a_variant_is_validated_once_and_each_pentagon_contracted_once(
+            self, monkeypatch, recurrence14):
+        calls = Counter()
+
+        def counting(name):
+            original = getattr(kempe, name)
+
+            def counted(m, *args):
+                calls[(name, *args)] += 1
+                return original(m, *args)
+            return counted
+
+        for name in ("validate", "contract_face"):
+            monkeypatch.setattr(kempe, name, counting(name))
+        # a fresh map object, so the variant table cannot have it cached
+        m = parse_map(serialize_map(recurrence14))
+        (variant,) = harness._variants((m,), False)
+        pentagons = [f.id for f in m.faces if len(f) == 5]
+        assert len(variant.traces) == 5 * len(pentagons) == 30
+        assert calls == Counter({("validate",): 1,
+                                 **{("contract_face", f): 1 for f in pentagons}})
+
+    def test_invalid_map_is_refused_when_prepared(self):
+        with pytest.raises(NoPentagon):
+            PreparedMap(parse_map("2\n1: 2\n2: 1\n"))
+
+
+def _as_list(cmap, ec):
+    """The reduction's flat form of a coloring: colors at edge ids."""
+    flat = [None] * cmap.dart_count
+    for e, c in ec.assignment.items():
+        flat[e] = c
+    return flat
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except KempeError as exc:
+        return type(exc), str(exc)
+
+
+def test_helpers_read_a_flat_list_as_an_edge_coloring(recurrence14):
+    pairs = [frozenset(p) for p in ((EdgeColor.BLUE, EdgeColor.YELLOW),
+                                    (EdgeColor.BLUE, EdgeColor.GREEN),
+                                    (EdgeColor.YELLOW, EdgeColor.GREEN))]
+    states = 0
+    for m in (recurrence14, recurrence14.mirrored()):
+        for f, e in _instances(m):
+            tr = run_procedure(m, f, deleted_edge=e)
+            if tr.initial_coloring is None:
+                continue
+            cmap, hub = tr.contracted_map, tr.hub
+            ec = tr.initial_coloring
+            # every state along the trace: the start, then each recoloring
+            for ev in (None, *tr.events):
+                if isinstance(ev, Normalized):
+                    perm = {EdgeColor.parse(a): EdgeColor.parse(b)
+                            for a, b in ev.permutation}
+                    ec = EdgeColoring({x: perm.get(c, c)
+                                       for x, c in ec.assignment.items()})
+                elif isinstance(ev, Inverted):
+                    pair = frozenset(EdgeColor.parse(ch) for ch in ev.pair)
+                    ec = invert_chain(ec, KempeChain(cmap, pair, frozenset(ev.edges)))
+                elif ev is not None:
+                    continue
+                flat = _as_list(cmap, ec)
+                assert _outcome(pattern_at, cmap, flat, hub) == \
+                    _outcome(pattern_at, cmap, ec, hub)
+                for majority in EDGE_ORDER:
+                    assert _outcome(classify_topology, cmap, flat, hub, majority) == \
+                        _outcome(classify_topology, cmap, ec, hub, majority)
+                for pair in pairs:
+                    assert _outcome(hub_pairing, cmap, flat, hub, pair) == \
+                        _outcome(hub_pairing, cmap, ec, hub, pair)
+                    for d in cmap.vertex_darts(hub):
+                        if ec[cmap.edge_id(d)] in pair:
+                            assert _outcome(cycle_through, cmap, flat, hub, d, pair) == \
+                                _outcome(cycle_through, cmap, ec, hub, d, pair)
+                states += 1
+    assert states > 100

@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tetracolor.harness import GenConfig, canonical_form, generate
+from tetracolor.harness import (GenConfig, _exhaustive_level, canonical_form,
+                                generate)
 from tetracolor.planar_map import (BridgeDeletion, DuplicateNeighbor,
                                    MalformedInput, NonReciprocal,
                                    NonSimpleBoundary, UnknownFace,
@@ -123,6 +124,32 @@ class TestDeleteEdgeSuppress:
         child, edge_map = delete_edge_suppress(prism, e)
         assert e not in edge_map
         assert set(edge_map.values()) == set(child.edges())
+
+    def test_edge_parallel_to_the_deleted_one_is_carried(self):
+        # deleting one edge of a digon suppresses both of its ends, so its
+        # partner joins the two edges spliced into one child edge
+        texts = [text for n in (4, 6) for _, text in _exhaustive_level(n)]
+        # an order-4 map numbered so that the partner is the later of the
+        # two remaining darts at both ends of the deleted edge
+        texts.append("4\n1: 3 2 2\n2: 4 1 1\n3: 1 4 4\n4: 3 3 2\n")
+        carried = 0
+        for text in texts:
+            m = parse_map(text, allow_parallel=True)
+            assert validate(m).planar
+            for deleted in m.edges():
+                ends = set(m.edge_endpoints(deleted))
+                partners = [e for e in m.edges() if e != deleted
+                            and set(m.edge_endpoints(e)) == ends]
+                if len(partners) != 1:
+                    continue   # a triple edge leaves a free loop
+                child, edge_map = delete_edge_suppress(m, deleted)
+                assert set(edge_map) == set(m.edges()) - {deleted}
+                assert set(edge_map.values()) == set(child.edges())
+                shared = [e for e in edge_map
+                          if edge_map[e] == edge_map[partners[0]]]
+                assert len(shared) == 3
+                carried += 1
+        assert carried >= 10
 
 
 class TestContractFace:
