@@ -79,6 +79,8 @@ def cmd_curves_classify(args) -> int:
 
 
 def cmd_reduce(args) -> int:
+    if args.step_budget < 0:
+        raise pm.MalformedInput(f"step budget must be >= 0, got {args.step_budget}")
     m = pm.parse_map(_read(args.map))
     pentagon = args.pentagon
     if pentagon is None:

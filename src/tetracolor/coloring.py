@@ -190,63 +190,71 @@ _BIT_TO_EDGE = (None, EdgeColor.BLUE, EdgeColor.YELLOW, None, EdgeColor.GREEN)
 def find_tait_coloring(m: RotationMap) -> Optional[EdgeColoring]:
     """Lexicographically least proper 3-edge-coloring in edge order.
 
-    Colors are tried Blue < Yellow < Green per edge; a vertex whose third
-    edge is forced gets it propagated immediately, which never changes the
-    first solution found.  The search is iterative, with an explicit stack
-    of decisions, and reads an edge's endpoints through ``m.edge_endpoints``
-    at every color check and every propagation step.  Returns None when no
-    Tait coloring exists.
+    Colors are tried Blue < Yellow < Green per edge.  The search is
+    iterative, with an explicit stack of decisions, and prunes in two ways
+    (forward checking with conflict-directed backjumping, Prosser 1993):
+
+    - Forward checking: whenever an edge is set, every unset edge f at
+      either of its endpoints gets the colors free at both ends of f
+      recomputed.  None free fails the current color; exactly one free
+      forces f to it, and f is propagated in turn.
+    - Backjumping: every set edge carries a bitmask of the decision levels
+      that imply its color (a decision its own level; a forced edge the
+      masks of the set edges at its two ends).  A failed color blames the
+      masks of the edges it clashes with, or of the edges around the edge
+      that ran out of colors.  When all three colors of a decision fail,
+      the search jumps back to the highest blamed level, undoing every
+      level above it, and passes on the rest of the blame; nothing blamed
+      means no Tait coloring exists, and None is returned.
+
+    Both only cut off subtrees that hold no coloring: a forced edge takes
+    the one color any completion must give it, and a jump skips levels
+    none of whose other colors can avoid the blamed failure.  So the first
+    coloring reached is the one plain chronological backtracking in the
+    same edge and color order reaches first: the lexicographically least.
+
+    Callers meter search work in calls of ``m.edge_endpoints``, so every
+    endpoint read of the search goes through it, never through a cache:
+    one call per color check of a decision edge, per propagated edge and
+    per forward-checked neighbor edge.
     """
     if any(m.degree(v) != 3 for v in range(m.vertex_count)):
         raise NotCubic("Tait coloring needs a cubic map")
-    # Callers meter search work in edge_endpoints calls, so the endpoints
-    # are read at every check, never cached.
     endpoints = m.edge_endpoints
     edges = m.edges()
     n = len(edges)
     vert_edges = [tuple(m.edge_id(d) for d in m.vertex_darts(v))
                   for v in range(m.vertex_count)]
-    col = [0] * m.dart_count  # by edge id
+    if any(len(set(es)) < 3 for es in vert_edges):
+        return None  # a loop meets its vertex twice in one color
+    col = [0] * m.dart_count   # by edge id; 0 while unset
+    why = [0] * m.dart_count   # by edge id; the levels implying col, 0 while unset
 
-    def ok(e: int, c: int) -> bool:
-        u, v = endpoints(e)
-        for x in vert_edges[u]:
-            if col[x] == c and x != e:
-                return False
-        for x in vert_edges[v]:
-            if col[x] == c and x != e:
-                return False
-        return True
-
-    def propagate(e: int, forced: list[int]) -> bool:
+    def propagate(e: int, forced: list[int]) -> int:
+        """Forward-check from e; 0, or the blame of a wiped-out edge."""
         stack = [e]
         while stack:
             for w in endpoints(stack.pop()):
-                a, b, d = vert_edges[w]
-                ca, cb, cd = col[a], col[b], col[d]
-                if ca:
-                    if cb:
-                        if cd:
-                            continue
-                        tgt = d
-                    elif cd:
-                        tgt = b
-                    else:
+                for f in vert_edges[w]:
+                    if col[f]:
                         continue
-                elif cb and cd:
-                    tgt = a
-                else:
-                    continue
-                c = 7 ^ (ca | cb | cd)
-                if c & (c - 1) or not ok(tgt, c):
-                    return False  # the two set edges clash, or tgt cannot take c
-                col[tgt] = c
-                forced.append(tgt)
-                stack.append(tgt)
-        return True
+                    a, b = endpoints(f)
+                    p, q, r = vert_edges[a]
+                    s, t, x = vert_edges[b]
+                    free = 7 ^ (col[p] | col[q] | col[r] | col[s] | col[t] | col[x])
+                    if free & (free - 1):
+                        continue  # two colors left
+                    blame = why[p] | why[q] | why[r] | why[s] | why[t] | why[x]
+                    if not free:
+                        return blame
+                    col[f], why[f] = free, blame
+                    forced.append(f)
+                    stack.append(f)
+        return 0
 
-    decisions: list[tuple[int, int, list[int]]] = []  # (edge index, color, forced)
-    i, c = 0, 1
+    # (edge index, color, forced edges, conflict set) per decision level
+    decisions: list[tuple[int, int, list[int], int]] = []
+    i, c, conflicts = 0, 1, 0
     while True:
         if c == 1:  # a new decision: skip the edges propagation has set
             while i < n and col[edges[i]]:
@@ -254,26 +262,39 @@ def find_tait_coloring(m: RotationMap) -> Optional[EdgeColoring]:
             if i == n:
                 break
         e = edges[i]
+        level = 1 << len(decisions)
         while c <= 4:
-            if ok(e, c):
-                col[e] = c
+            u, v = endpoints(e)
+            blame = 0
+            for x in vert_edges[u] + vert_edges[v]:
+                if col[x] == c:
+                    blame |= why[x]
+            if not blame:
+                col[e], why[e] = c, level
                 forced: list[int] = []
-                if propagate(e, forced):
+                blame = propagate(e, forced)
+                if not blame:
                     break
                 for f in forced:
-                    col[f] = 0
-                col[e] = 0
+                    col[f] = why[f] = 0
+                col[e] = why[e] = 0
+            conflicts |= blame & ~level
             c <<= 1
         if c <= 4:
-            decisions.append((i, c, forced))
-            i, c = i + 1, 1
+            decisions.append((i, c, forced, conflicts))
+            i, c, conflicts = i + 1, 1, 0
             continue
-        if not decisions:
+        if not conflicts:
             return None
-        i, c, forced = decisions.pop()
-        for f in forced:
-            col[f] = 0
-        col[edges[i]] = 0
+        target = conflicts.bit_length() - 1  # the highest blamed level
+        while True:
+            i, c, forced, earlier = decisions.pop()
+            for f in forced:
+                col[f] = why[f] = 0
+            col[edges[i]] = why[edges[i]] = 0
+            if len(decisions) == target:
+                break
+        conflicts = earlier | (conflicts & ~(1 << target))
         c <<= 1
     return EdgeColoring({e: _BIT_TO_EDGE[col[e]] for e in edges})
 
@@ -389,7 +410,8 @@ def parse_coloring(m: RotationMap, text: str) -> Union[FaceColoring, EdgeColorin
 
     Face lines read ``face <id>: <00|01|10|11>`` (ids 0-based); edge lines
     read ``edge <u>-<v>: <B|Y|G>`` with 1-based vertices.  Parallel edges
-    take successive lines for the same pair, in increasing edge order.
+    take successive lines for the same pair, in increasing edge order.  A
+    face listed twice is an error.
     """
     faces: dict[int, KleinColor] = {}
     edges: dict[int, EdgeColor] = {}
@@ -406,7 +428,10 @@ def parse_coloring(m: RotationMap, text: str) -> Union[FaceColoring, EdgeColorin
         kind, _, key = head.strip().partition(" ")
         value = value.strip()
         if kind == "face":
-            faces[_parse_int(key, raw)] = KleinColor.parse(value)
+            face = _parse_int(key, raw)
+            if face in faces:
+                raise ColoringError(f"face {face} listed twice")
+            faces[face] = KleinColor.parse(value)
         elif kind == "edge":
             u_s, _, v_s = key.strip().partition("-")
             u, v = _parse_int(u_s, raw) - 1, _parse_int(v_s, raw) - 1

@@ -182,6 +182,19 @@ def test_dscc_malformed_coloring_exit_code(tmp_path, capsys, line):
     assert "error:" in capsys.readouterr().err
 
 
+def test_dscc_repeated_face_line_exit_code(tmp_path, capsys):
+    coloring = tmp_path / "twice.col"
+    coloring.write_text("face 0: 00\nface 3: 01\nface 3: 10\n")
+    assert main(["dscc", DODECA, str(coloring)]) == 2
+    assert capsys.readouterr().err == "error: face 3 listed twice\n"
+
+
+def test_reduce_negative_step_budget_exit_code(capsys):
+    assert main(["reduce", DODECA, "--step-budget", "-3"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "error: step budget must be >= 0, got -3\n"
+
+
 @pytest.mark.parametrize("curves_text,samples_text", [
     ("[blue]\n1 abc\n", "a 1 1\n"),
     ("[blue]\ncurve\n0 0\n4 0\n4 4\n", "a 1 abc\n"),

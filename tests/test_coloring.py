@@ -13,7 +13,8 @@ from tetracolor.coloring import (EDGE_ORDER, KLEIN_ORDER, ColoringError,
                                  parse_coloring, serialize_coloring,
                                  verify_coloring)
 from tetracolor.harness import GenConfig, generate
-from tetracolor.planar_map import NotCubic, parse_map
+from tetracolor.planar_map import (NotCubic, RotationMap, find_bridges,
+                                   from_neighbor_lists, parse_map)
 
 
 class TestKleinColor:
@@ -112,6 +113,44 @@ def least_tait(m):
     return EdgeColoring(dict(color)) if extend(0) else None
 
 
+def joined_by_bridge(a, b):
+    """The cubic map made of a and b, each with the first edge of its first
+    vertex subdivided, and the two new vertices joined by a bridge."""
+    na = a.vertex_count
+    lists = a.neighbor_lists() + [[v + na for v in row] for row in b.neighbor_lists()]
+    x, y = len(lists), len(lists) + 1
+    for u, new, far in ((0, x, y), (na, y, x)):
+        v = lists[u][0]
+        lists[u][0] = new
+        lists[v][lists[v].index(u)] = new
+        lists.append([u, v, far])
+    return from_neighbor_lists(lists)
+
+
+class OutOfWork(Exception):
+    pass
+
+
+class Metered(RotationMap):
+    """A map whose edge_endpoints raises OutOfWork after `left` calls."""
+
+    __slots__ = ("left",)
+
+    def edge_endpoints(self, e):
+        self.left -= 1
+        if self.left < 0:
+            raise OutOfWork
+        return RotationMap.edge_endpoints(self, e)
+
+
+def metered(m, budget):
+    darts = range(m.dart_count)
+    copy = Metered([m.twin(d) for d in darts], [m.origin(d) for d in darts],
+                   [m.next(d) for d in darts], m.vertex_count)
+    copy.left = budget
+    return copy
+
+
 class TestTaitColoring:
     def test_k4_is_three_matchings(self, k4):
         ec = find_tait_coloring(k4)
@@ -134,10 +173,50 @@ class TestTaitColoring:
         for m in generate(GenConfig(n, mode="random", count=5, seed=n)):
             assert find_tait_coloring(m) == least_tait(m)
 
+    @pytest.mark.parametrize("n", [22, 24, 26, 28, 30, 32])
+    def test_least_on_larger_random_maps(self, n):
+        # orders where the search prunes and jumps back many levels
+        for m in generate(GenConfig(n, mode="random", count=10, seed=n)):
+            assert find_tait_coloring(m) == least_tait(m)
+
+    def test_least_where_a_clash_blames_a_forced_edge(self):
+        # blaming only the lowest level of a forced edge that a decision
+        # clashes with jumps past the least colouring of this map
+        m = list(generate(GenConfig(36, mode="random", count=24, seed=43)))[23]
+        assert find_tait_coloring(m) == least_tait(m)
+
+    @pytest.mark.parametrize("n", [8, 12, 16])
+    def test_maps_joined_by_a_bridge_have_none(self, n):
+        a, b = generate(GenConfig(n, mode="random", count=2, seed=n))
+        m = joined_by_bridge(a, b)
+        assert m.vertex_count == 2 * n + 2 and len(find_bridges(m)) == 1
+        assert find_tait_coloring(m) is None
+
+    def test_search_reads_endpoints_through_the_map(self, dodecahedron):
+        m = metered(dodecahedron, 10**6)
+        expect = find_tait_coloring(m)
+        used = 10**6 - m.left
+        assert expect == find_tait_coloring(dodecahedron)
+        assert find_tait_coloring(metered(dodecahedron, used)) == expect
+        for budget in (0, 1, used // 2, used - 1):
+            with pytest.raises(OutOfWork):
+                find_tait_coloring(metered(dodecahedron, budget))
+
+    def test_order_60_random_maps_colour_within_budget(self):
+        # at most 135,423 metered calls each; the search without backjumping
+        # needs over 400,000 on four of these six
+        for m in generate(GenConfig(60, mode="random", count=6, seed=60)):
+            ec = find_tait_coloring(metered(m, 250_000))
+            assert ec is not None and verify_coloring(m, ec) == []
+
     def test_bridged_cubic_map_has_none(self):
         # two doubled-edge triangle lobes with a connecting bridge
         m = parse_map("6\n1: 4 2 3\n2: 1 3 3\n3: 1 2 2\n"
                       "4: 1 5 6\n5: 4 6 6\n6: 4 5 5\n", allow_parallel=True)
+        assert find_tait_coloring(m) is None
+
+    def test_map_with_loops_has_none(self):
+        m = parse_map("2\n1: 1 1 2\n2: 2 2 1\n", allow_parallel=True)
         assert find_tait_coloring(m) is None
 
     def test_triple_edge_forced(self):
@@ -257,6 +336,10 @@ class TestColoringFiles:
         m = parse_map("2\n1: 2 2 2\n2: 1 1 1\n", allow_parallel=True)
         ec = find_tait_coloring(m)
         assert parse_coloring(m, serialize_coloring(m, ec)) == ec
+
+    def test_repeated_face_line_rejected(self, k4):
+        with pytest.raises(ColoringError, match="face 1 listed twice"):
+            parse_coloring(k4, "face 0: 00\nface 1: 01\nface 1: 10\n")
 
     def test_mixed_file_rejected(self, k4):
         with pytest.raises(ColoringError):
