@@ -86,14 +86,6 @@ class PolyCurve:
     def reversed(self) -> "PolyCurve":
         return PolyCurve(tuple(reversed(self.points)))
 
-    @property
-    def orientation(self) -> int:
-        """Sign of twice the signed area (shoelace); 0 only if degenerate."""
-        s = Fraction(0)
-        for (x1, y1), (x2, y2) in self.segments():
-            s += x1 * y2 - x2 * y1
-        return (s > 0) - (s < 0)
-
 
 @dataclass(frozen=True)
 class CurveSet:

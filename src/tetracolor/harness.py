@@ -25,9 +25,12 @@ K4 and stays simple.
 
 Each claim checker sweeps a corpus, returns a report with replayable
 witnesses for every violation, and never mutates corpus maps.  C2..C6
-read one table per corpus: every map (and, for C4..C6, its reflection)
-is parsed from its text, keyed, tested for 3-connectivity and reduced
-once for all of them, and only the last corpus's table stays cached.
+come from one pass over the corpus: every map and then its reflection is
+prepared, keyed and tested for 3-connectivity once, every reduction is
+run once and judged at once for each claim that reads it, and its trace
+is dropped.  Only the report rows of the last corpus swept stay cached,
+so asking for one of C2..C6 pays for the whole pass, and the others are
+then read from the cache.
 """
 
 from __future__ import annotations
@@ -178,19 +181,22 @@ def _automorphisms(m: RotationMap) -> list[tuple[list[int], bool]]:
     when it reverses orientation.
 
     Two rooted walks with the least code correspond block by block, which
-    pairs the darts around each vertex.  A code names neighbors by label,
-    so among parallel edges it does not fix which darts are twins; the
-    pairing is kept only when it commutes with twin.  A reversing map
-    sends m's rotation to its reflection's, so it sends each face onto the
-    twins of a face walked backwards.
+    pairs the darts around each vertex by rotation position.  The pairing
+    commutes with twin: a code names neighbors by label, which fixes the
+    twin of every dart but those of parallel edges, and rotation positions
+    fix those.  In a loopless bridgeless plane cubic map the two edges of
+    a parallel pair bound a digon face (else the third edge at one end is
+    a bridge), and the dipole's three edges pair in reverse rotation
+    order, so the twins of a parallel pair sit in reverse order at the
+    other end.  A reversing map sends m's rotation to its reflection's, so
+    it sends each face onto the twins of a face walked backwards.
     """
     rotations = (m._next, m.mirrored()._next)
     _, reached = _least_roots(m, rotations)
-    twin = m._twin
     o0, e0 = reached[0]
     out = []
     for o, e in reached:
-        phi = [0] * len(twin)
+        phi = [0] * m.dart_count
         for a0, b0 in zip(e0, e):
             a, b = a0, b0
             while True:
@@ -198,8 +204,7 @@ def _automorphisms(m: RotationMap) -> list[tuple[list[int], bool]]:
                 a, b = rotations[o0][a], rotations[o][b]
                 if a == a0:
                     break
-        if all(phi[t] == twin[phi[d]] for d, t in enumerate(twin)):
-            out.append((phi, o != o0))
+        out.append((phi, o != o0))
     return out
 
 
@@ -465,17 +470,8 @@ def check_claim(claim: str, maps: Iterable[RotationMap]) -> ClaimReport:
     if claim == "C1":
         violations, instances = _check_tait_colorable(maps)
     else:
-        judge = {
-            "C2": _judge_pattern_law,
-            "C3": _judge_chain_existence,
-            "C4": _judge_inversion_safety,
-            "C5": _judge_no_recurrence,
-            "C6": _judge_always_expands,
-        }[claim]
-        # C4..C6 sweep both orientations, so C4 validates every inversion
-        # that the disputed-step claims perform
-        violations, instances = _check_reductions(
-            maps, claim not in ("C2", "C3"), judge)
+        rows, found = _claim_rows(maps)[claim]
+        instances, violations = list(rows), list(found)
     return ClaimReport(claim, len(instances), violations, time.monotonic() - t0,
                        {"claim": claim, "title": CLAIM_TITLES[claim]}, instances)
 
@@ -494,74 +490,50 @@ def _check_tait_colorable(maps: Sequence[RotationMap]
     return violations, instances
 
 
-@dataclass(frozen=True)
-class _Variant:
-    """One orientation of a swept map: its report key, its 3-connectivity
-    and the trace of every (pentagon, deleted edge) instance."""
-
-    key: str
-    map: RotationMap
-    three_connected: bool
-    traces: tuple[ReductionTrace, ...]
-
-
-@lru_cache(maxsize=2)
-def _variants(maps: tuple[RotationMap, ...], mirror: bool) -> tuple[_Variant, ...]:
-    """Every map of a corpus, or its reflection, with its reductions run.
-
-    The cache holds both orientations of the last corpus swept, so the
-    claims checked over one corpus share its traces.  Each variant is
-    prepared once for all its reductions, which still go one by one
-    through the module binding ``run_procedure``.  ``RotationMap`` has
-    no ``__eq__``, so the key is the identity of the maps.
-    """
-    out = []
-    for base in maps:
-        # reduce the parse of the text, so an instance is (text, face,
-        # edge): the dart numbering fixes the solver's choices, and a
-        # witness replayed from its text makes the same ones
-        m = parse_map(serialize_map(base.mirrored() if mirror else base),
-                      allow_parallel=True)
-        prepared = PreparedMap(m)
-        traces = tuple(run_procedure(prepared, f.id, deleted_edge=e)
-                       for f in m.faces if len(f) == 5
-                       for e in sorted({m.edge_id(d) for d in f.darts}))
-        out.append(_Variant(canonical_form(m) + ("/mirror" if mirror else ""),
-                            m, is_three_connected(m), traces))
-    return tuple(out)
-
-
 Judgement = tuple[dict, bool, Optional[dict]]   # (detail, ok, witness)
+Rows = tuple[tuple[InstanceRecord, ...], tuple[tuple[str, dict], ...]]
 
 
-def _check_reductions(maps: tuple[RotationMap, ...], mirrors: bool, judge
-                      ) -> tuple[list[tuple[str, dict]], list[InstanceRecord]]:
-    """Judge the trace of every (map, pentagon, deleted edge) instance.
+@lru_cache(maxsize=1)
+def _claim_rows(maps: tuple[RotationMap, ...]) -> dict[str, Rows]:
+    """The instance records and violations of C2..C6 over a corpus, from
+    one pass that reduces every instance once.
 
-    Mirrored copies are swept as well when requested, each right after
-    its map: corpus dedup identifies reflections, but the reduction's
-    outcome can depend on the orientation.  ``judge(variant, trace)``
-    returns the instance's detail row, its verdict and the witness data,
-    which is read only for a violation.
+    Each map is prepared, then its reflection right after it: corpus dedup
+    identifies reflections, but the reduction's outcome can depend on the
+    orientation, so C4..C6 judge both while C2 and C3 read the map alone.
+    Every (pentagon, boundary edge) instance goes once through the module
+    binding ``run_procedure``, and each judge that reads its trace returns
+    the instance's detail row, its verdict and the witness data, which is
+    kept only for a violation.  No trace outlives its judging: the cache
+    holds the rows of the last corpus swept, keyed by the identity of its
+    maps (``RotationMap`` has no ``__eq__``).
     """
-    sides = [_variants(maps, False)]
-    if mirrors:
-        sides.append(_variants(maps, True))
-    violations = []
-    instances = []
-    for variants in zip(*sides):
-        for v in variants:
-            for tr in v.traces:
-                detail, ok, witness = judge(v, tr)
-                instances.append(InstanceRecord(v.key, detail, ok))
-                if not ok:
-                    violations.append((tr.map_text, witness))
-    return violations, instances
+    instances: dict[str, list[InstanceRecord]] = {c: [] for c in _JUDGES}
+    violations: dict[str, list[tuple[str, dict]]] = {c: [] for c in _JUDGES}
+    for base in maps:
+        for mirror in (False, True):
+            prepared = PreparedMap(base.mirrored() if mirror else base)
+            m = prepared.map
+            key = canonical_form(m) + ("/mirror" if mirror else "")
+            three_connected = is_three_connected(m)
+            for f in m.faces:
+                if len(f) != 5:
+                    continue
+                for e in sorted({m.edge_id(d) for d in f.darts}):
+                    tr = run_procedure(prepared, f.id, deleted_edge=e)
+                    for claim in _MIRROR_CLAIMS if mirror else _JUDGES:
+                        detail, ok, witness = _JUDGES[claim](m, three_connected, tr)
+                        instances[claim].append(InstanceRecord(key, detail, ok))
+                        if not ok:
+                            violations[claim].append((tr.map_text, witness))
+    return {c: (tuple(instances[c]), tuple(violations[c])) for c in _JUDGES}
 
 
-def _judge_pattern_law(v: _Variant, tr: ReductionTrace) -> Judgement:
+def _judge_pattern_law(m: RotationMap, three_connected: bool,
+                       tr: ReductionTrace) -> Judgement:
     detail = {"pentagon": tr.pentagon, "edge": list(tr.deleted_edge),
-              "n": v.map.vertex_count}
+              "n": m.vertex_count}
     if tr.anomaly == ANOMALY_NO_TAIT:
         detail["skipped"] = "smaller map has no Tait coloring"
         return detail, True, None
@@ -573,7 +545,8 @@ def _judge_pattern_law(v: _Variant, tr: ReductionTrace) -> Judgement:
         "pentagon": tr.pentagon, "edge": list(tr.deleted_edge), "bad_patterns": bad}
 
 
-def _judge_chain_existence(v: _Variant, tr: ReductionTrace) -> Judgement:
+def _judge_chain_existence(m: RotationMap, three_connected: bool,
+                           tr: ReductionTrace) -> Judgement:
     """Trail cycles through the hub must agree with chain walk pairings."""
     if tr.initial_coloring is None or tr.contracted_map is None:
         return {"pentagon": tr.pentagon, "skipped": "no coloring"}, True, None
@@ -608,7 +581,8 @@ def _judge_chain_existence(v: _Variant, tr: ReductionTrace) -> Judgement:
             {"pentagon": tr.pentagon, "edge": list(tr.deleted_edge)})
 
 
-def _judge_inversion_safety(v: _Variant, tr: ReductionTrace) -> Judgement:
+def _judge_inversion_safety(m: RotationMap, three_connected: bool,
+                            tr: ReductionTrace) -> Judgement:
     """Replay the trace, validating parity and properness after each step."""
     if tr.initial_coloring is None:
         return {"pentagon": tr.pentagon, "skipped": "no coloring"}, True, None
@@ -617,7 +591,8 @@ def _judge_inversion_safety(v: _Variant, tr: ReductionTrace) -> Judgement:
             {"pentagon": tr.pentagon, "edge": list(tr.deleted_edge)})
 
 
-def _judge_no_recurrence(v: _Variant, tr: ReductionTrace) -> Judgement:
+def _judge_no_recurrence(m: RotationMap, three_connected: bool,
+                         tr: ReductionTrace) -> Judgement:
     seq = []
     after_l2 = False
     recurrence = False
@@ -632,15 +607,16 @@ def _judge_no_recurrence(v: _Variant, tr: ReductionTrace) -> Judgement:
     detail = {"pentagon": tr.pentagon, "edge": list(tr.deleted_edge),
               "topologies": seq, "anomaly": tr.anomaly,
               "succeeded": tr.succeeded,
-              "three_connected": v.three_connected}
+              "three_connected": three_connected}
     if recurrence:
         return detail, False, {**detail, "trace": tr.to_jsonl()}
     return detail, True, None
 
 
-def _judge_always_expands(v: _Variant, tr: ReductionTrace) -> Judgement:
+def _judge_always_expands(m: RotationMap, three_connected: bool,
+                          tr: ReductionTrace) -> Judgement:
     detail = {"pentagon": tr.pentagon, "edge": list(tr.deleted_edge),
-              "anomaly": tr.anomaly, "three_connected": v.three_connected}
+              "anomaly": tr.anomaly, "three_connected": three_connected}
     if tr.anomaly == ANOMALY_NO_TAIT:
         # the premise (a colorable smaller map) fails; record, don't blame
         detail["skipped"] = "smaller map has no Tait coloring"
@@ -649,6 +625,12 @@ def _judge_always_expands(v: _Variant, tr: ReductionTrace) -> Judgement:
     if tr.succeeded and not verify_coloring(*tr.result):
         return detail, True, None
     return detail, False, {**detail, "trace": tr.to_jsonl()}
+
+
+_JUDGES = {"C2": _judge_pattern_law, "C3": _judge_chain_existence,
+           "C4": _judge_inversion_safety, "C5": _judge_no_recurrence,
+           "C6": _judge_always_expands}
+_MIRROR_CLAIMS = ("C4", "C5", "C6")
 
 
 # ---------------------------------------------------------------------------

@@ -16,13 +16,13 @@ cycles; through the hub a maximal chain can hold two cycles ("passages"),
 and inversions always flip one whole cycle.
 
 A sweep runs many reductions on one map, so the per-map work is done once
-by ``PreparedMap``: it validates the map, serializes its text and contracts
-each pentagon on first use, and every trace of that pentagon shares the one
-contracted map.  Inside the reduction loop the coloring is a flat list
-indexed by the contracted map's darts (each edge's color sits at its edge
-id), recolored in place; the chain and pattern helpers read it through
-``ec[e]`` as they read an ``EdgeColoring``, which is built only where a
-trace records a coloring.
+by ``PreparedMap``: it validates the map, serializes its text, numbers it
+like the parse of that text and contracts each pentagon on first use, and
+every trace of that pentagon shares the one contracted map.  Inside the
+reduction loop the coloring is a flat list indexed by the contracted map's
+darts (each edge's color sits at its edge id), recolored in place; the
+chain and pattern helpers read it through ``ec[e]`` as they read an
+``EdgeColoring``, which is built only where a trace records a coloring.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ from .coloring import (EDGE_ORDER, EdgeColor, EdgeColoring, find_tait_coloring,
                        serialize_coloring, verify_coloring)
 from .dscc import split_subgraphs
 from .planar_map import (ContractionRecord, MapError, RotationMap,
-                         contract_face, delete_edge_suppress, serialize_map,
-                         validate)
+                         contract_face, delete_edge_suppress, parse_map,
+                         serialize_map, validate)
 
 
 # a coloring as the helpers read it: an EdgeColoring, or the reduction's
@@ -532,6 +532,11 @@ class PreparedMap:
     contracted on first use; every trace of that pentagon shares the one
     contracted map, which like every RotationMap is immutable.  Raises
     NoPentagon when the map is not a connected cubic bridgeless planar map.
+
+    An instance is (text, face, edge): the numbering fixes the solver's
+    choices, so a trace replays from its header only when the map is
+    numbered like the parse of its text.  ``map`` is the map given when
+    its arrays equal the parse's, and the parse otherwise.
     """
 
     __slots__ = ("map", "text", "_contracted")
@@ -540,8 +545,10 @@ class PreparedMap:
         report = validate(m)
         if not (report.connected and report.cubic and report.bridgeless and report.planar):
             raise NoPentagon("reduction needs a connected cubic bridgeless planar map")
-        self.map = m
         self.text = serialize_map(m)
+        parsed = parse_map(self.text, allow_parallel=True)
+        same = (m._twin, m._origin, m._next) == (parsed._twin, parsed._origin, parsed._next)
+        self.map = m if same else parsed
         self._contracted: dict[int, tuple[RotationMap, ContractionRecord]] = {}
 
     def contracted(self, face_id: int) -> tuple[RotationMap, ContractionRecord]:
@@ -559,7 +566,9 @@ def run_procedure(n_map: Union[RotationMap, PreparedMap], pentagon: int,
     ``n_map`` is a RotationMap, which is prepared on the spot, or a
     PreparedMap, which a caller running several reductions of one map
     builds once: it validates once, and the traces of one pentagon share
-    its contracted map.  Either gives the same trace.
+    its contracted map.  Either gives the same trace.  A RotationMap must
+    be numbered like the parse of its own text (see PreparedMap), because
+    the face and edge ids given belong to its numbering.
 
     One pentagon edge is deleted (least edge id by default) and the
     smaller cubic map is three-edge-colored; the pentagon of the original
@@ -577,7 +586,13 @@ def run_procedure(n_map: Union[RotationMap, PreparedMap], pentagon: int,
       which a repeated T1/T1p classification is the disputed scenario and
       is reported as an anomaly, never silently retried.
     """
-    prepared = n_map if isinstance(n_map, PreparedMap) else PreparedMap(n_map)
+    if isinstance(n_map, PreparedMap):
+        prepared = n_map
+    else:
+        prepared = PreparedMap(n_map)
+        if prepared.map is not n_map:
+            raise KempeError("map is not numbered like the parse of its text; "
+                             "reduce parse_map(serialize_map(map)) instead")
     n_map = prepared.map
     if not 0 <= pentagon < n_map.face_count or len(n_map.faces[pentagon]) != 5:
         raise NoPentagon(f"face {pentagon} is not a pentagon")

@@ -377,8 +377,6 @@ def parse_map(text: str, allow_parallel: bool = False) -> RotationMap:
         if u in rows:
             raise MalformedInput(f"vertex {u} listed twice")
         rows[u] = neigh
-    if len(rows) != n:
-        raise MalformedInput("some vertex line is missing")
     lists = [[v - 1 for v in rows[u]] for u in range(1, n + 1)]
     return from_neighbor_lists(lists, allow_parallel=allow_parallel)
 

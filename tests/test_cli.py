@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
@@ -11,11 +14,13 @@ from hypothesis import strategies as st
 
 from tetracolor import kempe as kp
 from tetracolor.cli import main
-from tetracolor.coloring import parse_coloring, verify_coloring
+from tetracolor.coloring import (face4_to_edge3, parse_coloring,
+                                 serialize_coloring, verify_coloring)
 from tetracolor.planar_map import from_neighbor_lists, parse_map, serialize_map
 
 DATA = Path(__file__).parent / "data"
 DODECA = str(DATA / "dodecahedron.map")
+K4_TEXT = "4\n1: 2 4 3\n2: 3 4 1\n3: 1 4 2\n4: 1 2 3\n"
 
 
 def test_validate_ok(capsys):
@@ -193,6 +198,61 @@ def test_reduce_negative_step_budget_exit_code(capsys):
     assert main(["reduce", DODECA, "--step-budget", "-3"]) == 2
     out = capsys.readouterr()
     assert out.out == "" and out.err == "error: step budget must be >= 0, got -3\n"
+
+
+def test_validate_missing_file_exit_code(tmp_path, capsys):
+    assert main(["validate", str(tmp_path / "absent.map")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read ") and err.count("\n") == 1
+
+
+def test_reduce_without_pentagon_exit_code(tmp_path, capsys):
+    k4 = tmp_path / "k4.map"
+    k4.write_text(K4_TEXT)
+    assert main(["reduce", str(k4)]) == 2
+    assert capsys.readouterr().err == "map has no pentagonal face\n"
+
+
+def test_reduce_unknown_pentagon_exit_code(capsys):
+    assert main(["reduce", DODECA, "--pentagon", "99"]) == 2
+    assert capsys.readouterr().err == "error: face 99 out of range\n"
+
+
+def test_claim_maps_rejects_a_non_cubic_map(tmp_path, capsys):
+    square = tmp_path / "square.map"
+    square.write_text("4\n1: 2 4\n2: 3 1\n3: 4 2\n4: 1 3\n")
+    assert main(["claim", "C1", "--maps", str(square)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (f"error: {square}: not a connected simple cubic "
+                       "bridgeless planar map\n")
+
+
+def test_dscc_reads_the_face_coloring_that_color_prints(tmp_path, capsys):
+    m = parse_map(Path(DODECA).read_text())
+    assert main(["color", DODECA]) == 0
+    faces = tmp_path / "d.fcol"
+    faces.write_text(capsys.readouterr().out)
+    edges = tmp_path / "d.ecol"
+    edges.write_text(serialize_coloring(
+        m, face4_to_edge3(m, parse_coloring(m, faces.read_text()))))
+    assert main(["dscc", DODECA, str(faces)]) == 0
+    from_faces = capsys.readouterr().out
+    assert main(["dscc", DODECA, str(edges)]) == 0
+    assert from_faces == capsys.readouterr().out
+    assert "blue trail:" in from_faces
+
+
+def test_module_entry_point(tmp_path):
+    k4 = tmp_path / "k4.map"
+    k4.write_text(K4_TEXT)
+    src = str(Path(kp.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-m", "tetracolor", "validate", str(k4)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "bridgeless: True" in proc.stdout
 
 
 @pytest.mark.parametrize("curves_text,samples_text", [

@@ -1,6 +1,9 @@
+import gc
 import itertools
 import json
 import random
+import weakref
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -387,7 +390,7 @@ class TestCheckClaim:
             calls.append(args)
             return inner(*args, **kwargs)
 
-        harness._variants.cache_clear()
+        harness._claim_rows.cache_clear()
         monkeypatch.setattr(harness, "run_procedure", counted)
         reports = {c: check_claim(c, corpus12) for c in CLAIM_IDS}
         assert len(calls) == reports["C4"].instances_checked > 0
@@ -397,8 +400,46 @@ class TestCheckClaim:
         for maps in (corpus12, [recurrence14]):
             for claim in ("C2", "C5"):
                 check_claim(claim, maps)
-        assert harness._variants.cache_info().maxsize == 2
-        assert harness._variants.cache_info().currsize <= 2
+        assert harness._claim_rows.cache_info().maxsize == 1
+        assert harness._claim_rows.cache_info().currsize <= 1
+
+    def test_c2_then_c5_then_c2_reduce_each_instance_once(self, corpus12,
+                                                           monkeypatch):
+        from tetracolor import harness
+        inner = harness.run_procedure
+        runs = Counter()
+
+        def counted(*args, **kwargs):
+            tr = inner(*args, **kwargs)
+            runs[(tr.map_text, tr.pentagon, tr.deleted_edge)] += 1
+            return tr
+
+        harness._claim_rows.cache_clear()
+        monkeypatch.setattr(harness, "run_procedure", counted)
+        first = check_claim("C2", corpus12)
+        c5 = check_claim("C5", corpus12)
+        again = check_claim("C2", corpus12)
+        assert len(runs) == c5.instances_checked > first.instances_checked > 0
+        assert set(runs.values()) == {1}
+        assert again.instances == first.instances
+        assert again.instances is not first.instances
+
+    def test_no_trace_outlives_check_claim(self, recurrence14, monkeypatch):
+        from tetracolor import harness
+        inner = harness.run_procedure
+        refs = []
+
+        def watched(*args, **kwargs):
+            tr = inner(*args, **kwargs)
+            refs.append(weakref.ref(tr))
+            return tr
+
+        harness._claim_rows.cache_clear()
+        monkeypatch.setattr(harness, "run_procedure", watched)
+        report = check_claim("C5", [recurrence14])
+        gc.collect()
+        assert report.violations and len(refs) == report.instances_checked
+        assert all(ref() is None for ref in refs)
 
     def test_checkers_do_not_mutate_maps(self, corpus12):
         before = [serialize_map(m) for m in corpus12]

@@ -114,7 +114,7 @@ class TestClassifyTopology:
     def test_all_labels_reachable(self, corpus12):
         seen = set()
         for m in corpus12:
-            for variant in (m, m.mirrored()):
+            for variant in (m, parse_map(serialize_map(m.mirrored()))):
                 for f in variant.faces:
                     if len(f) != 5:
                         continue
@@ -369,7 +369,8 @@ def _instances(m):
 class TestPreparedMap:
     def test_prepared_map_gives_the_plain_maps_traces(self, corpus12, recurrence14):
         checked = 0
-        variants = [v for m in corpus12 for v in (m, m.mirrored())]
+        variants = [v for m in corpus12
+                    for v in (m, parse_map(serialize_map(m.mirrored())))]
         for m in variants + [recurrence14]:
             prepared = PreparedMap(m)
             for f, e in _instances(m):
@@ -398,19 +399,47 @@ class TestPreparedMap:
             original = getattr(kempe, name)
 
             def counted(m, *args):
-                calls[(name, *args)] += 1
+                calls[(name, serialize_map(m), *args)] += 1
                 return original(m, *args)
             return counted
 
+        # a fresh map object, so the pass's cache cannot have it
+        m = parse_map(serialize_map(recurrence14))
+        mirror = PreparedMap(m.mirrored()).map
         for name in ("validate", "contract_face"):
             monkeypatch.setattr(kempe, name, counting(name))
-        # a fresh map object, so the variant table cannot have it cached
-        m = parse_map(serialize_map(recurrence14))
-        (variant,) = harness._variants((m,), False)
-        pentagons = [f.id for f in m.faces if len(f) == 5]
-        assert len(variant.traces) == 5 * len(pentagons) == 30
-        assert calls == Counter({("validate",): 1,
-                                 **{("contract_face", f): 1 for f in pentagons}})
+        rows = harness._claim_rows((m,))
+        expected = Counter()
+        for variant in (m, mirror):
+            text = serialize_map(variant)
+            expected[("validate", text)] = 1
+            for f in variant.faces:
+                if len(f) == 5:
+                    expected[("contract_face", text, f.id)] = 1
+        assert calls == expected
+        assert len(rows["C2"][0]) == 30
+        assert len(rows["C4"][0]) == 2 * 30
+
+    def test_mirrored_corpus_traces_replay_from_their_headers(self, corpus12):
+        # mirrored() numbers darts unlike the parse of its own text, so the
+        # prepared map is that parse, and every header names its instance
+        checked = 0
+        for m in corpus12:
+            mirror = m.mirrored()
+            prepared = PreparedMap(mirror)
+            for f, e in _instances(prepared.map):
+                tr = run_procedure(prepared, f, deleted_edge=e)
+                assert replay_trace(parse_map(tr.map_text), tr)
+                checked += 1
+        assert checked > 250
+
+    def test_a_map_numbered_unlike_its_text_is_refused(self, recurrence14):
+        mirror = recurrence14.mirrored()
+        assert PreparedMap(mirror).map is not mirror
+        assert PreparedMap(recurrence14).map is recurrence14
+        f, e = _instances(mirror)[0]
+        with pytest.raises(KempeError, match="numbered like the parse"):
+            run_procedure(mirror, f, deleted_edge=e)
 
     def test_invalid_map_is_refused_when_prepared(self):
         with pytest.raises(NoPentagon):
@@ -437,7 +466,7 @@ def test_helpers_read_a_flat_list_as_an_edge_coloring(recurrence14):
                                     (EdgeColor.BLUE, EdgeColor.GREEN),
                                     (EdgeColor.YELLOW, EdgeColor.GREEN))]
     states = 0
-    for m in (recurrence14, recurrence14.mirrored()):
+    for m in (recurrence14, parse_map(serialize_map(recurrence14.mirrored()))):
         for f, e in _instances(m):
             tr = run_procedure(m, f, deleted_edge=e)
             if tr.initial_coloring is None:
