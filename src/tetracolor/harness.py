@@ -35,6 +35,7 @@ then read from the cache.
 
 from __future__ import annotations
 
+import bisect
 import json
 import random
 import time
@@ -212,6 +213,31 @@ def _automorphisms(m: RotationMap) -> list[tuple[list[int], bool]]:
 # growth operation
 # ---------------------------------------------------------------------------
 
+def _add_chord(twin: list[int], origin: list[int], nxt: list[int],
+               nverts: int, a: int, b: int) -> None:
+    """Subdivide the edges of darts a and b of one face at new vertices
+    x = nverts and y = nverts + 1 (b == a splits a's edge twice, y on the
+    piece nearer its head) and join x to y across that face.
+
+    The six new darts D..D+5 are appended in the order t2x, d2x, t2y, d2y,
+    g, h: t2x goes from x back along a's edge and d2x on towards its old
+    head (likewise at y), g runs x -> y and h back.  At x the rotation is
+    clockwise (t2x, g, d2x); same at y.
+    """
+    D = len(twin)
+    if b == a:
+        b = D + 1   # the second split lands on the continuation of a's edge
+    ta = twin[a]
+    twin += [a, ta]
+    twin[a], twin[ta] = D, D + 1
+    tb = twin[b]
+    twin += [b, tb, D + 5, D + 4]
+    twin[b], twin[tb] = D + 2, D + 3
+    x, y = nverts, nverts + 1
+    origin += [x, x, y, y, x, y]
+    nxt += [D + 4, D, D + 5, D + 2, D + 1, D + 3]
+
+
 def insert_edge_across_face(m: RotationMap, face_id: int,
                             pos_i: int, pos_j: int) -> RotationMap:
     """Subdivide the face's walk edges at positions i and j (i == j splits
@@ -220,52 +246,9 @@ def insert_edge_across_face(m: RotationMap, face_id: int,
     L = len(walk)
     if not (0 <= pos_i < L and 0 <= pos_j < L):
         raise HarnessError("walk position out of range")
-    twin = list(m._twin)
-    origin = list(m._origin)
-    nxt = list(m._next)
-    nverts = m.vertex_count
-
-    def subdivide(dart: int) -> tuple[int, int]:
-        """Split edge of `dart` at a new vertex; returns (new vertex, the
-        continuation dart leaving the new vertex along the old edge)."""
-        nonlocal nverts
-        t = twin[dart]
-        x = nverts
-        nverts += 1
-        t2 = len(twin)      # x -> origin(dart)
-        d2 = len(twin) + 1  # x -> old head
-        twin.extend([dart, t])
-        origin.extend([x, x])
-        nxt.extend([d2, t2])
-        twin[dart] = t2
-        twin[t] = d2
-        return x, d2
-
-    a = walk[pos_i]
-    x, a_cont = subdivide(a)
-    if pos_i == pos_j:
-        b = a_cont  # second split lands on the continuation half of the same edge
-    else:
-        b = walk[pos_j]
-    y, b_cont = subdivide(b)
-
-    g = len(twin)      # x -> y
-    h = len(twin) + 1  # y -> x
-    twin.extend([h, g])
-    origin.extend([x, y])
-    nxt.extend([0, 0])
-    # place the chord inside the face: at x between the returning half and
-    # the continuation, clockwise (t2_x, g, d2_x); same at y
-    t2_x = twin[a]
-    nxt[t2_x] = g
-    nxt[g] = a_cont
-    nxt[a_cont] = t2_x
-    t2_y = twin[b]
-    nxt[t2_y] = h
-    nxt[h] = b_cont
-    nxt[b_cont] = t2_y
-
-    child = RotationMap(twin, origin, nxt, nverts)
+    twin, origin, nxt = list(m._twin), list(m._origin), list(m._next)
+    _add_chord(twin, origin, nxt, m.vertex_count, walk[pos_i], walk[pos_j])
+    child = RotationMap(twin, origin, nxt, m.vertex_count + 2)
     assert child.vertex_count - child.edge_count + child.face_count == 2
     assert child.face_count == m.face_count + 1
     return child
@@ -379,26 +362,60 @@ def _simple_maps(config: GenConfig, top: int) -> Iterator[RotationMap]:
 
 
 def generate(config: GenConfig) -> Iterator[RotationMap]:
-    """Stream corpus maps; every emitted map passes validate with all flags."""
+    """Stream corpus maps; every emitted map passes validate with all flags.
+
+    Random mode repeats, ``count`` times, a seeded walk from K4: draw a
+    face by its rank in least-dart order and two distinct positions i < j
+    on its walk from that dart, and join the two edges there by a chord
+    (``_add_chord``), until the order is reached.  The walk runs on the
+    dart arrays and keeps every face walk as it goes, so one
+    ``RotationMap`` is built per emitted map, not one per insertion; its
+    faces must equal the kept walks.  Each map is emitted as the parse of
+    its text.
+    """
     if config.mode == "exhaustive":
         yield from _simple_maps(config, config.vertex_count)
         return
     rng = random.Random(config.seed)
-    emitted = 0
-    while emitted < config.count:
-        m = parse_map(K4_TEXT)
-        while m.vertex_count < config.vertex_count:
-            f = rng.randrange(m.face_count)
-            L = len(m.faces[f])
-            i = rng.randrange(L)
-            j = rng.randrange(L)
+    k4 = parse_map(K4_TEXT)
+    for _ in range(config.count):
+        twin, origin, nxt = list(k4._twin), list(k4._origin), list(k4._next)
+        walks = [list(f.darts) for f in k4.faces]   # by least dart, from it
+        walk_of = [walks[f] for f in k4._face_of]
+        nverts = k4.vertex_count
+        while nverts < config.vertex_count:
+            w = walks[rng.randrange(len(walks))]
+            i = rng.randrange(len(w))
+            j = rng.randrange(len(w))
             if i == j:
                 continue  # stay simple: two distinct boundary edges
-            m = insert_edge_across_face(m, f, min(i, j), max(i, j))
+            i, j = min(i, j), max(i, j)
+            a, b = w[i], w[j]
+            ta, tb = twin[a], twin[b]
+            D = len(twin)
+            _add_chord(twin, origin, nxt, nverts, a, b)
+            nverts += 2
+            # The chord splits w: w keeps its least dart and runs
+            # a, g, d2y on to its end; the new face runs d2x, w[i+1..j], h
+            # and is rotated to its least dart.  The faces across a and b
+            # (distinct from w: no bridges) gain t2x after ta, t2y after tb.
+            new = [D + 1] + w[i + 1:j + 1] + [D + 5]
+            w[i + 1:j + 1] = [D + 4, D + 3]
+            k = new.index(min(new))
+            new = new[k:] + new[:k]
+            bisect.insort(walks, new)
+            walk_of += [None, w, None, w, w, new]
+            for d in new:
+                walk_of[d] = new
+            for t, d in ((ta, D), (tb, D + 2)):
+                across = walk_of[t]
+                across.insert(across.index(t) + 1, d)
+                walk_of[d] = across
+        m = RotationMap(twin, origin, nxt, nverts)
+        assert [list(f.darts) for f in m.faces] == walks
         m = parse_map(serialize_map(m))
         assert validate(m).all_ok
         yield m
-        emitted += 1
 
 
 def corpus(n_max: int, n_min: int = 4) -> list[RotationMap]:
@@ -462,7 +479,8 @@ class ClaimReport:
 
 
 def check_claim(claim: str, maps: Iterable[RotationMap]) -> ClaimReport:
-    """Run one claim checker over a corpus and aggregate witnesses."""
+    """Run one claim checker over a corpus and aggregate witnesses.  The
+    report's rows are its own: editing them changes no later report."""
     if claim not in CLAIM_IDS:
         raise UnknownClaim(f"claim {claim!r}; known: {', '.join(CLAIM_IDS)}")
     t0 = time.monotonic()
@@ -471,9 +489,17 @@ def check_claim(claim: str, maps: Iterable[RotationMap]) -> ClaimReport:
         violations, instances = _check_tait_colorable(maps)
     else:
         rows, found = _claim_rows(maps)[claim]
-        instances, violations = list(rows), list(found)
+        instances = [InstanceRecord(r.map_key, _copy_row(r.detail), r.ok)
+                     for r in rows]
+        violations = [(text, _copy_row(w)) for text, w in found]
     return ClaimReport(claim, len(instances), violations, time.monotonic() - t0,
                        {"claim": claim, "title": CLAIM_TITLES[claim]}, instances)
+
+
+def _copy_row(row: dict) -> dict:
+    """A copy of a cached detail or witness dict that shares nothing with
+    it: rows nest one level deep, in lists."""
+    return {k: v.copy() if type(v) is list else v for k, v in row.items()}
 
 
 def _check_tait_colorable(maps: Sequence[RotationMap]

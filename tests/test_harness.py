@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import itertools
 import json
 import random
@@ -8,8 +9,9 @@ from fractions import Fraction
 
 import pytest
 
-from tetracolor.harness import (_DIPOLE, CLAIM_IDS, GenConfig, HarnessError,
-                                OddOrder, UnknownClaim, UnsupportedFormat,
+from tetracolor.harness import (_DIPOLE, CLAIM_IDS, K4_TEXT, GenConfig,
+                                HarnessError, OddOrder, UnknownClaim,
+                                UnsupportedFormat,
                                 _automorphisms, _child_excess,
                                 _exhaustive_level, canonical_form,
                                 check_claim, corpus, emit_report, generate,
@@ -224,6 +226,35 @@ class TestGenerate:
     def test_random_maps_validate(self):
         for m in generate(GenConfig(18, mode="random", count=5, seed=3)):
             assert validate(m).all_ok and m.vertex_count == 18
+
+    @pytest.mark.parametrize("seed", [0, 1, 5])
+    def test_random_walk_equals_one_map_per_insertion(self, seed):
+        for n in range(4, 61, 2):
+            got = [serialize_map(m) for m in
+                   generate(GenConfig(n, mode="random", count=2, seed=seed))]
+            assert got == random_walk_reference(n, 2, seed)
+
+    def test_random_maps_digest(self):
+        texts = [serialize_map(m) for n in range(4, 41, 2) for s in (0, 1, n)
+                 for m in generate(GenConfig(n, mode="random", count=3, seed=s))]
+        assert len(texts) == 171
+        assert hashlib.sha256("".join(texts).encode()).hexdigest() == (
+            "c299252d007003a041cac8dfee658fca65b329a170b296374ad393d2b0d9091a")
+
+
+def random_walk_reference(n, count, seed):
+    """The random walk with one RotationMap per insertion, same rng draws."""
+    rng = random.Random(seed)
+    texts = []
+    for _ in range(count):
+        m = parse_map(K4_TEXT)
+        while m.vertex_count < n:
+            f = rng.randrange(m.face_count)
+            i, j = rng.randrange(len(m.faces[f])), rng.randrange(len(m.faces[f]))
+            if i != j:
+                m = insert_edge_across_face(m, f, min(i, j), max(i, j))
+        texts.append(serialize_map(parse_map(serialize_map(m))))
+    return texts
 
 
 @pytest.fixture(scope="module")
@@ -440,6 +471,18 @@ class TestCheckClaim:
         gc.collect()
         assert report.violations and len(refs) == report.instances_checked
         assert all(ref() is None for ref in refs)
+
+    def test_reports_share_no_rows_with_the_cache(self, recurrence14):
+        first = check_claim("C5", [recurrence14])
+        first.violations[0][1]["pentagon"] = 999
+        first.violations[0][1]["topologies"].append("T9")
+        first.instances[0].detail["n"] = -1
+        first.instances[0].detail["edge"].append(-1)
+        again = check_claim("C5", [recurrence14])
+        assert again.violations[0][1]["pentagon"] != 999
+        assert "T9" not in again.violations[0][1]["topologies"]
+        assert again.instances[0].detail.get("n") != -1
+        assert -1 not in again.instances[0].detail["edge"]
 
     def test_checkers_do_not_mutate_maps(self, corpus12):
         before = [serialize_map(m) for m in corpus12]
