@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .planar_map import MapError, NotCubic, RotationMap
 
@@ -51,10 +51,6 @@ class KleinColor(enum.Enum):
     def __xor__(self, other: "KleinColor") -> "KleinColor":
         return KLEIN_ORDER[self.value ^ other.value]
 
-    @property
-    def bits(self) -> tuple[bool, bool]:
-        return bool(self.value & 0b10), bool(self.value & 0b01)
-
     def __str__(self) -> str:
         return format(self.value, "02b")
 
@@ -76,10 +72,6 @@ class EdgeColor(enum.Enum):
 
     __hash__ = object.__hash__
 
-    @property
-    def klein(self) -> KleinColor:
-        return _EDGE_TO_KLEIN[self]
-
     def __str__(self) -> str:
         return self.value
 
@@ -91,12 +83,9 @@ class EdgeColor(enum.Enum):
         raise ColoringError(f"not an edge color: {text!r}")
 
 
-_EDGE_TO_KLEIN = {
-    EdgeColor.BLUE: KleinColor.C10,
-    EdgeColor.YELLOW: KleinColor.C01,
-    EdgeColor.GREEN: KleinColor.C11,
-}
-_KLEIN_TO_EDGE = {v: k for k, v in _EDGE_TO_KLEIN.items()}
+# the difference rule on Klein bits: an edge color's bits, a nonzero xor's color
+_EDGE_TO_BITS = {EdgeColor.BLUE: 0b10, EdgeColor.YELLOW: 0b01, EdgeColor.GREEN: 0b11}
+_BITS_TO_EDGE = (None, EdgeColor.YELLOW, EdgeColor.BLUE, EdgeColor.GREEN)
 
 EDGE_ORDER = (EdgeColor.BLUE, EdgeColor.YELLOW, EdgeColor.GREEN)
 
@@ -109,11 +98,6 @@ class FaceColoring:
     def __getitem__(self, face: int) -> KleinColor:
         return self.assignment[face]
 
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, FaceColoring)
-                and self.assignment == other.assignment
-                and self.outer_face == other.outer_face)
-
 
 @dataclass(frozen=True)
 class EdgeColoring:
@@ -121,9 +105,6 @@ class EdgeColoring:
 
     def __getitem__(self, edge: int) -> EdgeColor:
         return self.assignment[edge]
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, EdgeColoring) and self.assignment == other.assignment
 
 
 @dataclass(frozen=True)
@@ -140,46 +121,124 @@ class Violation:
 # solvers
 # ---------------------------------------------------------------------------
 
-def _face_adjacency(m: RotationMap) -> list[list[tuple[int, int]]]:
-    """Per face: (neighbor face, shared edge) for every boundary edge."""
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(m.face_count)]
-    for e in m.edges():
-        f1, f2 = m.face_of(e), m.face_of(m.twin(e))
-        adj[f1].append((f2, e))
-        adj[f2].append((f1, e))
-    return adj
+def _backjump(order: Sequence[int], tops: Sequence[int],
+              clash: Callable[[int, int], int],
+              propagate: Callable[[int, list[int]], int],
+              col: list[int], why: list[int]) -> bool:
+    """Least solution of a colouring problem, found in place; False if none.
+
+    Variables are decided in ``order``, each with the colour bits 1, 2, 4,
+    ... up to ``tops[x]``; ``col[x]`` is 0 while x is unset.  The search
+    keeps an explicit stack of decisions and prunes by forward checking
+    with conflict-directed backjumping (Prosser 1993).  ``propagate(x,
+    forced)`` runs once x is set: it forces each variable left with one
+    free colour, appending it to ``forced``, and returns the blame of one
+    left with none, or 0.  ``why[x]`` is a bitmask of the decision levels
+    that imply x's colour: a decision its own level, a forced variable
+    those of the variables that forced it.  ``clash(x, c)`` returns the
+    blame of the set variables that forbid colour c at x, or 0.  When all
+    colours of a decision fail, the search jumps back to the highest
+    blamed level and passes on the rest of the blame.
+
+    Neither cuts off a subtree that holds a solution: a forced variable
+    takes the one colour any completion gives it, and a jump skips levels
+    none of whose other colours can avoid the blamed failure.  So the
+    first solution reached is the lexicographically least, as in plain
+    chronological backtracking.  A variable with one allowed colour is a
+    decision whose top is that colour, never a preset value, so that the
+    levels it implies are blamed.
+    """
+    n = len(order)
+    # (order index, colour, forced variables, conflict set) per decision level
+    decisions: list[tuple[int, int, list[int], int]] = []
+    i, c, conflicts = 0, 1, 0
+    while True:
+        if c == 1:  # a new decision: skip the variables propagation has set
+            while i < n and col[order[i]]:
+                i += 1
+            if i == n:
+                return True
+        x = order[i]
+        top = tops[x]
+        level = 1 << len(decisions)
+        while c <= top:
+            blame = clash(x, c)
+            if not blame:
+                col[x], why[x] = c, level
+                forced: list[int] = []
+                blame = propagate(x, forced)
+                if not blame:
+                    break
+                for f in forced:
+                    col[f] = why[f] = 0
+                col[x] = why[x] = 0
+            conflicts |= blame & ~level
+            c <<= 1
+        if c <= top:
+            decisions.append((i, c, forced, conflicts))
+            i, c, conflicts = i + 1, 1, 0
+            continue
+        if not conflicts:
+            return False
+        target = conflicts.bit_length() - 1  # the highest blamed level
+        while True:
+            i, c, forced, earlier = decisions.pop()
+            for f in forced:
+                col[f] = why[f] = 0
+            col[order[i]] = why[order[i]] = 0
+            if len(decisions) == target:
+                break
+        conflicts = earlier | (conflicts & ~(1 << target))
+        c <<= 1
 
 
 def find_face_4coloring(m: RotationMap) -> Optional[FaceColoring]:
     """Lexicographically least proper four-coloring in face order.
 
-    Face 0 is pinned to 00; the remaining faces are tried in id order with
-    colors in the order 00, 01, 10, 11.  The search backtracks over a flat
-    color list, so its depth is not bounded by the recursion limit.
-    Returns None when no proper coloring exists (a face adjacent to itself
-    across a bridge, for instance).
+    Face 0 is pinned to 00; the other faces are tried in id order with the
+    colors 00 < 01 < 10 < 11, held as the bits 1, 2, 4, 8 by ``_backjump``.
+    Setting a face forward-checks its unset neighbors.  Returns None when
+    no proper coloring exists (a face adjacent to itself, for instance).
     """
     nf = m.face_count
-    nbrs = [[g for g, _ in pairs] for pairs in _face_adjacency(m)]
+    face_of, twin = m._face_of, m._twin
+    nbrs = [[face_of[twin[d]] for d in face.darts] for face in m.faces]
     if any(f in nbrs[f] for f in range(nf)):
         return None  # face adjacent to itself; no proper coloring
-    colors = [-1] * nf  # index into KLEIN_ORDER, -1 while unset
-    f, c = 0, 0
-    while f < nf:
-        used = [colors[g] for g in nbrs[f]]
-        last = 0 if f == 0 else 3
-        while c <= last and c in used:
-            c += 1
-        if c <= last:
-            colors[f] = c
-            f, c = f + 1, 0
-        elif f == 0:
-            return None
-        else:
-            f -= 1
-            c = colors[f] + 1
-            colors[f] = -1
-    return FaceColoring({f: KLEIN_ORDER[c] for f, c in enumerate(colors)}, outer_face=0)
+    col = [0] * nf  # by face id; 0 while unset
+    why = [0] * nf  # by face id; the levels implying col, 0 while unset
+
+    def clash(f: int, c: int) -> int:
+        blame = 0
+        for g in nbrs[f]:
+            if col[g] == c:
+                blame |= why[g]
+        return blame
+
+    def propagate(f: int, forced: list[int]) -> int:
+        """Forward-check from f; 0, or the blame of a wiped-out face."""
+        stack = [f]
+        while stack:
+            for g in nbrs[stack.pop()]:
+                if col[g]:
+                    continue
+                used = blame = 0
+                for h in nbrs[g]:
+                    used |= col[h]
+                    blame |= why[h]
+                free = 15 & ~used
+                if free & (free - 1):
+                    continue  # two colors left
+                if not free:
+                    return blame
+                col[g], why[g] = free, blame
+                forced.append(g)
+                stack.append(g)
+        return 0
+
+    if not _backjump(range(nf), [1] + [8] * (nf - 1), clash, propagate, col, why):
+        return None
+    return FaceColoring({f: KLEIN_ORDER[c.bit_length() - 1] for f, c in enumerate(col)})
 
 
 # Tait search colors: one bit each, so the free color at a vertex whose other
@@ -190,28 +249,9 @@ _BIT_TO_EDGE = (None, EdgeColor.BLUE, EdgeColor.YELLOW, None, EdgeColor.GREEN)
 def find_tait_coloring(m: RotationMap) -> Optional[EdgeColoring]:
     """Lexicographically least proper 3-edge-coloring in edge order.
 
-    Colors are tried Blue < Yellow < Green per edge.  The search is
-    iterative, with an explicit stack of decisions, and prunes in two ways
-    (forward checking with conflict-directed backjumping, Prosser 1993):
-
-    - Forward checking: whenever an edge is set, every unset edge f at
-      either of its endpoints gets the colors free at both ends of f
-      recomputed.  None free fails the current color; exactly one free
-      forces f to it, and f is propagated in turn.
-    - Backjumping: every set edge carries a bitmask of the decision levels
-      that imply its color (a decision its own level; a forced edge the
-      masks of the set edges at its two ends).  A failed color blames the
-      masks of the edges it clashes with, or of the edges around the edge
-      that ran out of colors.  When all three colors of a decision fail,
-      the search jumps back to the highest blamed level, undoing every
-      level above it, and passes on the rest of the blame; nothing blamed
-      means no Tait coloring exists, and None is returned.
-
-    Both only cut off subtrees that hold no coloring: a forced edge takes
-    the one color any completion must give it, and a jump skips levels
-    none of whose other colors can avoid the blamed failure.  So the first
-    coloring reached is the one plain chronological backtracking in the
-    same edge and color order reaches first: the lexicographically least.
+    Colors are tried Blue < Yellow < Green per edge by ``_backjump``.
+    Setting an edge forward-checks every unset edge at either of its
+    endpoints against the colors used at both ends of that edge.
 
     Callers meter search work in calls of ``m.edge_endpoints``, so every
     endpoint read of the search goes through it, never through a cache:
@@ -221,14 +261,20 @@ def find_tait_coloring(m: RotationMap) -> Optional[EdgeColoring]:
     if any(m.degree(v) != 3 for v in range(m.vertex_count)):
         raise NotCubic("Tait coloring needs a cubic map")
     endpoints = m.edge_endpoints
-    edges = m.edges()
-    n = len(edges)
     vert_edges = [tuple(m.edge_id(d) for d in m.vertex_darts(v))
                   for v in range(m.vertex_count)]
     if any(len(set(es)) < 3 for es in vert_edges):
         return None  # a loop meets its vertex twice in one color
     col = [0] * m.dart_count   # by edge id; 0 while unset
     why = [0] * m.dart_count   # by edge id; the levels implying col, 0 while unset
+
+    def clash(e: int, c: int) -> int:
+        u, v = endpoints(e)
+        blame = 0
+        for x in vert_edges[u] + vert_edges[v]:
+            if col[x] == c:
+                blame |= why[x]
+        return blame
 
     def propagate(e: int, forced: list[int]) -> int:
         """Forward-check from e; 0, or the blame of a wiped-out edge."""
@@ -252,50 +298,9 @@ def find_tait_coloring(m: RotationMap) -> Optional[EdgeColoring]:
                     stack.append(f)
         return 0
 
-    # (edge index, color, forced edges, conflict set) per decision level
-    decisions: list[tuple[int, int, list[int], int]] = []
-    i, c, conflicts = 0, 1, 0
-    while True:
-        if c == 1:  # a new decision: skip the edges propagation has set
-            while i < n and col[edges[i]]:
-                i += 1
-            if i == n:
-                break
-        e = edges[i]
-        level = 1 << len(decisions)
-        while c <= 4:
-            u, v = endpoints(e)
-            blame = 0
-            for x in vert_edges[u] + vert_edges[v]:
-                if col[x] == c:
-                    blame |= why[x]
-            if not blame:
-                col[e], why[e] = c, level
-                forced: list[int] = []
-                blame = propagate(e, forced)
-                if not blame:
-                    break
-                for f in forced:
-                    col[f] = why[f] = 0
-                col[e] = why[e] = 0
-            conflicts |= blame & ~level
-            c <<= 1
-        if c <= 4:
-            decisions.append((i, c, forced, conflicts))
-            i, c, conflicts = i + 1, 1, 0
-            continue
-        if not conflicts:
-            return None
-        target = conflicts.bit_length() - 1  # the highest blamed level
-        while True:
-            i, c, forced, earlier = decisions.pop()
-            for f in forced:
-                col[f] = why[f] = 0
-            col[edges[i]] = why[edges[i]] = 0
-            if len(decisions) == target:
-                break
-        conflicts = earlier | (conflicts & ~(1 << target))
-        c <<= 1
+    edges = m.edges()
+    if not _backjump(edges, [4] * m.dart_count, clash, propagate, col, why):
+        return None
     return EdgeColoring({e: _BIT_TO_EDGE[col[e]] for e in edges})
 
 
@@ -306,15 +311,15 @@ def find_tait_coloring(m: RotationMap) -> Optional[EdgeColoring]:
 def face4_to_edge3(m: RotationMap, fc: FaceColoring) -> EdgeColoring:
     """Color each edge by the xor of its two side colors."""
     _check_face_domain(m, fc)
+    face_of, twin = m._face_of, m._twin
+    bits = [fc.assignment[f].value for f in range(m.face_count)]
     assignment: dict[int, EdgeColor] = {}
     for e in m.edges():
-        c1 = fc[m.face_of(e)]
-        c2 = fc[m.face_of(m.twin(e))]
-        delta = c1 ^ c2
-        if delta == KleinColor.C00:
-            raise ImproperColoring(
-                f"faces {m.face_of(e)} and {m.face_of(m.twin(e))} share color at edge {e}")
-        assignment[e] = _KLEIN_TO_EDGE[delta]
+        f1, f2 = face_of[e], face_of[twin[e]]
+        delta = bits[f1] ^ bits[f2]
+        if not delta:
+            raise ImproperColoring(f"faces {f1} and {f2} share color at edge {e}")
+        assignment[e] = _BITS_TO_EDGE[delta]
     return EdgeColoring(assignment)
 
 
@@ -329,31 +334,37 @@ def edge3_to_face4(m: RotationMap, ec: EdgeColoring) -> FaceColoring:
     _check_edge_domain(m, ec)
     for violation in _edge_violations(m, ec):
         raise ImproperEdgeColoring(violation.detail)
-    return _dual_xor_walk(m, {e: c.klein for e, c in ec.assignment.items()})
+    return _dual_xor_walk(m, {e: _EDGE_TO_BITS[c] for e, c in ec.assignment.items()})
 
 
-def _dual_xor_walk(m: RotationMap, delta: dict[int, KleinColor]) -> FaceColoring:
+def _dual_xor_walk(m: RotationMap, delta: Mapping[int, int]) -> FaceColoring:
     """Face colors from per-edge color differences, spread over the dual.
 
-    The outer face (face 0) gets 00 and crossing edge e xors in delta[e];
-    path independence is checked, not assumed.
+    The outer face (face 0) gets 00 and crossing edge e xors in the Klein
+    bits delta[e]; path independence is checked, not assumed.
     """
-    colors: dict[int, KleinColor] = {0: KleinColor.C00}
+    nf = m.face_count
+    face_of, twin = m._face_of, m._twin
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(nf)]  # (neighbor, edge)
+    for e in m.edges():
+        f1, f2 = face_of[e], face_of[twin[e]]
+        adj[f1].append((f2, e))
+        adj[f2].append((f1, e))
+    colors = [0] + [-1] * (nf - 1)  # Klein bits by face id; -1 while unreached
     stack = [0]
-    adj = _face_adjacency(m)
     while stack:
         f = stack.pop()
+        cf = colors[f]
         for g, e in adj[f]:
-            want = colors[f] ^ delta[e]
-            if g in colors:
-                if colors[g] != want:
-                    raise Inconsistent(f"dual paths disagree at face {g}")
-            else:
+            want = cf ^ delta[e]
+            if colors[g] < 0:
                 colors[g] = want
                 stack.append(g)
-    if len(colors) != m.face_count:
+            elif colors[g] != want:
+                raise Inconsistent(f"dual paths disagree at face {g}")
+    if -1 in colors:
         raise Inconsistent("dual graph is disconnected")
-    return FaceColoring(dict(sorted(colors.items())), outer_face=0)
+    return FaceColoring({f: KLEIN_ORDER[c] for f, c in enumerate(colors)}, outer_face=0)
 
 
 def verify_coloring(m: RotationMap,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coloring import (EdgeColor, EdgeColoring, FaceColoring, KleinColor,
+from .coloring import (EdgeColor, EdgeColoring, FaceColoring,
                        _check_edge_domain, _dual_xor_walk)
 from .planar_map import MapError, RotationMap
 
@@ -42,9 +42,6 @@ class EvenSubgraph:
     edges: frozenset[int]
     color_tag: EdgeColor
 
-    def degree(self, m: RotationMap, v: int) -> int:
-        return sum(1 for d in m.vertex_darts(v) if m.edge_id(d) in self.edges)
-
 
 @dataclass(frozen=True)
 class ClosedTrail:
@@ -56,9 +53,6 @@ class ClosedTrail:
     """
 
     darts: tuple[int, ...]
-
-    def edge_ids(self, m: RotationMap) -> frozenset[int]:
-        return frozenset(m.edge_id(d) for d in self.darts)
 
     def vertices(self, m: RotationMap) -> tuple[int, ...]:
         return tuple(m.origin(d) for d in self.darts)
@@ -101,17 +95,20 @@ def split_subgraphs(m: RotationMap,
             EvenSubgraph(yellow, EdgeColor.YELLOW))
 
 
-def _noncrossing_pairing(m: RotationMap, edges: frozenset[int]) -> dict[int, int]:
+def _noncrossing_pairing(m: RotationMap, edges: frozenset[int]) -> list[int]:
     """Pair the subgraph darts at each vertex into rotation-adjacent couples.
 
     The rotation at each vertex is rotated to start at its least incident
     subgraph dart and consecutive darts are coupled; a trail arriving on
     one dart of a couple leaves on the other.  Adjacent coupling is what
-    keeps two trails through the same vertex from crossing.
+    keeps two trails through the same vertex from crossing.  Returns the
+    partner of every dart, -1 for darts outside the subgraph.
     """
-    partner: dict[int, int] = {}
-    for v in range(m.vertex_count):
-        incident = [d for d in m.vertex_darts(v) if m.edge_id(d) in edges]
+    partner = [-1] * m.dart_count
+    for e in edges:
+        partner[e] = partner[m._twin[e]] = 0  # marks the subgraph's darts
+    for v, darts in enumerate(m._vertex_darts):
+        incident = [d for d in darts if partner[d] == 0]
         if not incident:
             continue
         if len(incident) % 2:
@@ -129,22 +126,23 @@ def _noncrossing_pairing(m: RotationMap, edges: frozenset[int]) -> dict[int, int
 
 def trail_decompose(sub: EvenSubgraph, m: RotationMap) -> list[ClosedTrail]:
     """Partition the subgraph's edges into non-crossing closed trails."""
-    edges = sub.edges
-    partner = _noncrossing_pairing(m, edges)
-    used: set[int] = set()
+    partner = _noncrossing_pairing(m, sub.edges)
+    twin = m._twin
+    used = [False] * len(twin)  # by edge id
     trails: list[ClosedTrail] = []
-    for e in sorted(edges):
-        if e in used:
+    for e in sorted(sub.edges):
+        if used[e]:
             continue
         walk: list[int] = []
         d = e  # traverse edge e starting from its lower dart
         while True:
-            eid = m.edge_id(d)
-            if eid in used:
+            t = twin[d]
+            eid = d if d < t else t
+            if used[eid]:
                 raise DsccError(f"edge {eid} revisited during trail walk")
             walk.append(d)
-            used.add(eid)
-            d = partner[m.twin(d)]   # leave by the pairing at the head vertex
+            used[eid] = True
+            d = partner[t]   # leave by the pairing at the head vertex
             if d == e:
                 break
         trails.append(ClosedTrail(tuple(walk)))
@@ -160,7 +158,7 @@ def decompose(m: RotationMap, ec: EdgeColoring) -> DsccDecomposition:
     for trails in (bt, yt):
         seen: dict[int, int] = {}
         for i, t in enumerate(trails):
-            for v in set(t.vertices(m)):
+            for v in {m._origin[d] for d in t.darts}:
                 if v in seen and seen[v] != i:
                     shared.add(v)
                 seen[v] = i
@@ -177,13 +175,13 @@ def dscc_to_face4(m: RotationMap, blue: EvenSubgraph,
     """
     check_even(m, blue.edges)
     check_even(m, yellow.edges)
-    deltas: dict[int, KleinColor] = {}
+    deltas: dict[int, int] = {}  # Klein bits by edge id
     for e in m.edges():
         b = e in blue.edges
         y = e in yellow.edges
         if not b and not y:
             raise CoverageGap(f"edge {e} lies in neither subgraph")
-        deltas[e] = KleinColor((0b10 if b else 0) | (0b01 if y else 0))
+        deltas[e] = (0b10 if b else 0) | (0b01 if y else 0)
     return _dual_xor_walk(m, deltas)
 
 

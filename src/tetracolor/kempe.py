@@ -87,20 +87,11 @@ class KempeChain:
 
     @property
     def is_simple_cycle(self) -> bool:
-        degs = self._degrees()
-        return bool(degs) and all(d == 2 for d in degs.values())
-
-    @property
-    def branch_vertices(self) -> tuple[int, ...]:
-        """Vertices the chain passes more than once (the hub, typically)."""
-        return tuple(sorted(v for v, d in self._degrees().items() if d > 2))
-
-    def _degrees(self) -> dict[int, int]:
         degs: dict[int, int] = {}
         for e in self.edges:
             for v in self.host.edge_endpoints(e):
                 degs[v] = degs.get(v, 0) + 1
-        return degs
+        return bool(degs) and all(d == 2 for d in degs.values())
 
 
 def find_chain(m: RotationMap, ec: Colors, seed: int,

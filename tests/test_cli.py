@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 
 from tetracolor import kempe as kp
 from tetracolor.cli import main
-from tetracolor.coloring import (face4_to_edge3, parse_coloring,
+from tetracolor.coloring import (FaceColoring, face4_to_edge3, parse_coloring,
                                  serialize_coloring, verify_coloring)
+from tetracolor.harness import GenConfig, generate
 from tetracolor.planar_map import from_neighbor_lists, parse_map, serialize_map
 
 DATA = Path(__file__).parent / "data"
@@ -65,6 +66,17 @@ def test_color_prism_deeper_than_the_recursion_limit(tmp_path, capsys, flags):
     c = parse_coloring(m, capsys.readouterr().out)
     assert len(c.assignment) == (m.edge_count if flags else m.face_count)
     assert verify_coloring(m, c) == []
+
+
+def test_color_order_200_random_map(tmp_path, capsys):
+    # a map the chronological face search does not colour within 10 s
+    m = list(generate(GenConfig(200, mode="random", count=6, seed=200)))[1]
+    path = tmp_path / "r200.map"
+    path.write_text(serialize_map(m))
+    assert main(["color", str(path)]) == 0
+    fc = parse_coloring(m, capsys.readouterr().out)
+    assert isinstance(fc, FaceColoring) and len(fc.assignment) == m.face_count
+    assert verify_coloring(m, fc) == []
 
 
 def test_dscc_pipeline(tmp_path, capsys):

@@ -17,6 +17,11 @@ from tetracolor.planar_map import (NotCubic, RotationMap, find_bridges,
                                    from_neighbor_lists, parse_map)
 
 
+# the difference rule: the Klein value of each edge color
+KLEIN_OF = {EdgeColor.BLUE: KleinColor.C10, EdgeColor.YELLOW: KleinColor.C01,
+            EdgeColor.GREEN: KleinColor.C11}
+
+
 class TestKleinColor:
     def test_xor_group(self):
         zero = KleinColor.C00
@@ -26,14 +31,48 @@ class TestKleinColor:
                 assert a ^ b == b ^ a
 
     def test_bits_and_text(self):
-        assert KleinColor.C10.bits == (True, False)
+        c = KleinColor.C10
+        assert (bool(c.value & 0b10), bool(c.value & 0b01)) == (True, False)
         assert str(KleinColor.C01) == "01"
         assert KleinColor.parse("11") is KleinColor.C11
 
-    def test_edge_color_mapping(self):
-        assert EdgeColor.BLUE.klein is KleinColor.C10
-        assert EdgeColor.YELLOW.klein is KleinColor.C01
-        assert EdgeColor.GREEN.klein is KleinColor.C11
+    def test_edge_color_mapping(self, four_cycle):
+        # an edge between faces 00 and k takes the color whose Klein value is k
+        for color, k in KLEIN_OF.items():
+            ec = face4_to_edge3(four_cycle, FaceColoring({0: KleinColor.C00, 1: k}))
+            assert set(ec.assignment.values()) == {color}
+
+
+def least_face(m):
+    """Reference: chronological backtracking with face 0 pinned to 00, the
+    other faces in id order and colors 00 < 01 < 10 < 11, and no
+    propagation, so the first proper colouring it reaches is the
+    lexicographically least one by construction."""
+    nf = m.face_count
+    nbrs = [[] for _ in range(nf)]
+    for e in m.edges():
+        f1, f2 = m.face_of(e), m.face_of(m.twin(e))
+        nbrs[f1].append(f2)
+        nbrs[f2].append(f1)
+    if any(f in nbrs[f] for f in range(nf)):
+        return None  # face adjacent to itself; no proper coloring
+    colors = [-1] * nf  # index into KLEIN_ORDER, -1 while unset
+    f, c = 0, 0
+    while f < nf:
+        used = [colors[g] for g in nbrs[f]]
+        last = 0 if f == 0 else 3
+        while c <= last and c in used:
+            c += 1
+        if c <= last:
+            colors[f] = c
+            f, c = f + 1, 0
+        elif f == 0:
+            return None
+        else:
+            f -= 1
+            c = colors[f] + 1
+            colors[f] = -1
+    return FaceColoring({f: KLEIN_ORDER[c] for f, c in enumerate(colors)}, outer_face=0)
 
 
 def brute_force_face_coloring(m):
@@ -71,6 +110,23 @@ class TestFaceColoring:
     def test_matches_brute_force_on_small_corpus(self):
         for m in generate(GenConfig(8)):
             assert find_face_4coloring(m) == brute_force_face_coloring(m)
+
+    def test_least_on_corpus12_both_orientations(self, corpus12):
+        for m in corpus12:
+            for v in (m, m.mirrored()):
+                assert find_face_4coloring(v) == least_face(v)
+
+    @pytest.mark.parametrize("n", range(24, 65, 2))
+    def test_least_on_random_maps(self, n):
+        for m in generate(GenConfig(n, mode="random", count=10, seed=n)):
+            assert find_face_4coloring(m) == least_face(m)
+
+    def test_order_200_random_maps(self):
+        # chronological backtracking takes over 10 s on five of these six
+        for m in generate(GenConfig(200, mode="random", count=6, seed=200)):
+            fc = find_face_4coloring(m)
+            assert verify_coloring(m, fc) == []
+            assert edge3_to_face4(m, face4_to_edge3(m, fc)) == fc
 
     def test_bridge_face_self_adjacency_gives_none(self):
         m = parse_map("2\n1: 2\n2: 1\n")
@@ -202,6 +258,16 @@ class TestTaitColoring:
             with pytest.raises(OutOfWork):
                 find_tait_coloring(metered(dodecahedron, budget))
 
+    def test_search_work_is_pinned(self, dodecahedron):
+        # metered calls per map: the tait bench's work budget and its
+        # colorings digest rest on these counts
+        used = []
+        for m in (dodecahedron, *generate(GenConfig(48, mode="random", count=5, seed=48))):
+            copy = metered(m, 10**9)
+            find_tait_coloring(copy)
+            used.append(10**9 - copy.left)
+        assert used == [92, 2695, 303, 462, 2661, 307]
+
     def test_order_60_random_maps_colour_within_budget(self):
         # at most 135,423 metered calls each; the search without backjumping
         # needs over 400,000 on four of these six
@@ -278,7 +344,7 @@ class TestConversions:
         for v in range(dodecahedron.vertex_count):
             acc = KleinColor.C00
             for d in dodecahedron.vertex_darts(v):
-                acc = acc ^ ec[dodecahedron.edge_id(d)].klein
+                acc = acc ^ KLEIN_OF[ec[dodecahedron.edge_id(d)]]
             assert acc is KleinColor.C00
 
     def test_face_boundary_xor_can_be_nonzero(self, dodecahedron):
@@ -290,7 +356,7 @@ class TestConversions:
         for f in dodecahedron.faces:
             acc = KleinColor.C00
             for d in f.darts:
-                acc = acc ^ ec[dodecahedron.edge_id(d)].klein
+                acc = acc ^ KLEIN_OF[ec[dodecahedron.edge_id(d)]]
             xors.add(acc)
         assert xors != {KleinColor.C00}
 

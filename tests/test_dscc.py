@@ -1,16 +1,27 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tetracolor.coloring import (EdgeColor, EdgeColoring, face4_to_edge3,
                                  find_face_4coloring, find_tait_coloring,
-                                 verify_coloring)
+                                 serialize_coloring, verify_coloring)
 from tetracolor.dscc import (CoverageGap, EvenSubgraph,
                              ParityViolation, check_even, decompose, dscc_to_face4,
                              serialize_decomposition, split_subgraphs,
                              trail_decompose)
 from tetracolor.harness import GenConfig, generate
 from tetracolor.kempe import run_procedure
+
+
+def degree(m, sub, v):
+    """Darts at v whose edge lies in the subgraph."""
+    return sum(1 for d in m.vertex_darts(v) if m.edge_id(d) in sub.edges)
+
+
+def edge_ids(m, trail):
+    return frozenset(m.edge_id(d) for d in trail.darts)
 
 
 def fig_coloring(fig_map):
@@ -34,14 +45,14 @@ class TestSplit:
         blue, yellow = split_subgraphs(fig_map, ec)
         assert len(blue.edges) == 6 and len(yellow.edges) == 6
         for v in range(6):
-            assert blue.degree(fig_map, v) == 2
-            assert yellow.degree(fig_map, v) == 2
+            assert degree(fig_map, blue, v) == 2
+            assert degree(fig_map, yellow, v) == 2
 
     def test_k4_split_is_union_of_two_matchings(self, k4):
         ec = find_tait_coloring(k4)
         blue, yellow = split_subgraphs(k4, ec)
         assert len(blue.edges) == 4
-        assert all(blue.degree(k4, v) == 2 for v in range(4))
+        assert all(degree(k4, blue, v) == 2 for v in range(4))
 
     def test_parity_violation_names_vertex(self, k4):
         ec = find_tait_coloring(k4)
@@ -102,7 +113,7 @@ class TestTrailDecompose:
         trails = trail_decompose(blue, fig_map)
         assert len(trails) == 1  # a single closed curve through all six vertices
         assert trails[0].is_simple_cycle(fig_map)
-        assert trails[0].edge_ids(fig_map) == blue.edges
+        assert edge_ids(fig_map, trails[0]) == blue.edges
 
     def test_empty_subgraph(self, k4):
         assert trail_decompose(EvenSubgraph(frozenset(), EdgeColor.BLUE), k4) == []
@@ -113,7 +124,7 @@ class TestTrailDecompose:
             trails = trail_decompose(sub, dodecahedron)
             seen = set()
             for t in trails:
-                ids = t.edge_ids(dodecahedron)
+                ids = edge_ids(dodecahedron, t)
                 assert not (ids & seen)
                 seen |= ids
             assert seen == sub.edges
@@ -126,14 +137,14 @@ class TestTrailDecompose:
             pair = {color, EdgeColor.GREEN}
             edges = frozenset(e for e in cmap.edges() if ec[e] in pair)
             sub = EvenSubgraph(edges, color)
-            if sub.degree(cmap, hub) != 4:
+            if degree(cmap, sub, hub) != 4:
                 continue
             trails = trail_decompose(sub, cmap)
             hub_visits = sum(t.vertices(cmap).count(hub) for t in trails)
             assert hub_visits == 2
             covered = set()
             for t in trails:
-                covered |= t.edge_ids(cmap)
+                covered |= edge_ids(cmap, t)
             assert covered == edges
 
     def test_noncrossing_pairing_at_shared_vertices(self, dodecahedron):
@@ -201,6 +212,22 @@ class TestDump:
         assert dec.shared_vertices == frozenset()
 
 
+def test_face_route_and_trails_pinned_on_corpus12(corpus12):
+    # the face colouring, its Tait colouring and the trail dump of every
+    # corpus12 map in both orientations, byte for byte; the bench digest
+    # does not cover trails
+    h = hashlib.sha256()
+    for m in corpus12:
+        for v in (m, m.mirrored()):
+            fc = find_face_4coloring(v)
+            ec = face4_to_edge3(v, fc)
+            for text in (serialize_coloring(v, fc), serialize_coloring(v, ec),
+                         serialize_decomposition(v, decompose(v, ec))):
+                h.update(text.encode())
+    assert h.hexdigest() == (
+        "0bd26ed8eeeae67f1b17fd1c13a0cc29fe10afb66af264ad90a2953c184a609e")
+
+
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 10_000))
 def test_split_even_and_covering_on_random_maps(seed):
@@ -208,8 +235,8 @@ def test_split_even_and_covering_on_random_maps(seed):
     ec = find_tait_coloring(m)
     blue, yellow = split_subgraphs(m, ec)
     for v in range(m.vertex_count):
-        assert blue.degree(m, v) % 2 == 0
-        assert yellow.degree(m, v) % 2 == 0
+        assert degree(m, blue, v) % 2 == 0
+        assert degree(m, yellow, v) % 2 == 0
     assert blue.edges | yellow.edges == set(m.edges())
     fc = dscc_to_face4(m, blue, yellow)
     assert verify_coloring(m, fc) == []

@@ -25,6 +25,12 @@ BY = frozenset((EdgeColor.BLUE, EdgeColor.YELLOW))
 BG = frozenset((EdgeColor.BLUE, EdgeColor.GREEN))
 
 
+def branch_vertices(chain):
+    """Vertices the chain passes more than once (the hub, typically)."""
+    degs = Counter(v for e in chain.edges for v in chain.host.edge_endpoints(e))
+    return tuple(sorted(v for v, d in degs.items() if d > 2))
+
+
 class TestFindChain:
     def test_k4_blue_yellow_is_alternating_four_cycle(self, k4):
         ec = find_tait_coloring(k4)
@@ -48,7 +54,7 @@ class TestFindChain:
         seed = next(cmap.edge_id(d) for d in pat.darts
                     if ec[cmap.edge_id(d)] in pair)
         chain = find_chain(cmap, ec, seed, pair)
-        assert chain.branch_vertices == (hub,)
+        assert branch_vertices(chain) == (hub,)
         assert not chain.is_simple_cycle
 
 
@@ -304,7 +310,7 @@ def test_chains_on_plain_cubic_maps_are_simple_cycles(corpus12):
                 chain = find_chain(m, ec, e, pair)
                 seen |= chain.edges
                 assert chain.is_simple_cycle
-                assert chain.branch_vertices == ()
+                assert branch_vertices(chain) == ()
 
 
 def test_immediately_contiguous_trace_shape(corpus12):
