@@ -26,6 +26,14 @@ def _read(path: str) -> str:
         raise pm.MalformedInput(f"cannot read {path}: {exc}") from None
 
 
+def _read_planar(path: str) -> pm.RotationMap:
+    """The map in a file, refused unless it is connected and planar."""
+    m = pm.parse_map(_read(path))
+    if not pm.validate(m).planar:
+        raise pm.MapError(f"{path}: not a connected planar map")
+    return m
+
+
 def cmd_validate(args) -> int:
     m = pm.parse_map(_read(args.map), allow_parallel=args.allow_parallel)
     report = pm.validate(m)
@@ -37,7 +45,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_color(args) -> int:
-    m = pm.parse_map(_read(args.map))
+    m = _read_planar(args.map)
     if args.edges:
         ec = col.find_tait_coloring(m)
         if ec is None:
@@ -54,7 +62,7 @@ def cmd_color(args) -> int:
 
 
 def cmd_dscc(args) -> int:
-    m = pm.parse_map(_read(args.map))
+    m = _read_planar(args.map)
     c = col.parse_coloring(m, _read(args.coloring))
     if isinstance(c, col.FaceColoring):
         c = col.face4_to_edge3(m, c)

@@ -37,7 +37,8 @@ class DomainMismatch(ColoringError):
 
 
 class KleinColor(enum.Enum):
-    """The four face colors, combined by componentwise xor; 00 is identity."""
+    """The four face colors; their values form the Klein group under xor
+    of the two bits, with 00 the identity."""
 
     C00 = 0b00
     C01 = 0b01
@@ -47,9 +48,6 @@ class KleinColor(enum.Enum):
     # members are singletons compared by identity, so identity hashing is
     # consistent and skips Enum's Python-level __hash__
     __hash__ = object.__hash__
-
-    def __xor__(self, other: "KleinColor") -> "KleinColor":
-        return KLEIN_ORDER[self.value ^ other.value]
 
     def __str__(self) -> str:
         return format(self.value, "02b")

@@ -35,10 +35,6 @@ class SameSetIntersection(CurveError):
     """Two curves of one set share a point, which a set never allows."""
 
 
-class UnknownLabel(CurveError):
-    """Adjacency names a region label with no sample."""
-
-
 Coord = Union[int, float, Fraction, str]
 Point = tuple[Fraction, Fraction]
 
@@ -188,21 +184,6 @@ def classify_regions(blue: CurveSet, yellow: CurveSet,
             if pos == Position.INSIDE:
                 bits |= bit
         out[label] = KleinColor(bits)
-    return out
-
-
-def verify_proper_geometric(blue: CurveSet, yellow: CurveSet,
-                            adjacency: Sequence[tuple[str, str]],
-                            samples: Sequence[tuple[str, Point]]) -> list[str]:
-    """Violation messages for declared-adjacent regions with equal colors."""
-    colors = classify_regions(blue, yellow, samples)
-    out = []
-    for a, b in adjacency:
-        for label in (a, b):
-            if label not in colors:
-                raise UnknownLabel(f"no sample for region {label!r}")
-        if colors[a] == colors[b]:
-            out.append(f"regions {a!r} and {b!r} are both {colors[a]}")
     return out
 
 

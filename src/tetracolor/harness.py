@@ -20,17 +20,20 @@ the child is built (p of the child is read off the parent).  Every
 parent of a child within the budget is within its own, and the kept
 children are tried in the same order as in the full level, so the first
 text kept per key, and hence every simple map, is the same as in the
-full multigraph level.  Random mode walks seeded insertion chains from
-K4 and stays simple.
+full multigraph level.  Generation is one walk over the levels
+(``_levels``) and keeps no state between calls: each call grows its
+levels afresh.  Random mode walks seeded insertion chains from K4 and
+stays simple.
 
 Each claim checker sweeps a corpus, returns a report with replayable
-witnesses for every violation, and never mutates corpus maps.  C2..C6
-come from one pass over the corpus: every map and then its reflection is
-prepared, keyed and tested for 3-connectivity once, every reduction is
-run once and judged at once for each claim that reads it, and its trace
-is dropped.  Only the report rows of the last corpus swept stay cached,
-so asking for one of C2..C6 pays for the whole pass, and the others are
-then read from the cache.
+witnesses for every violation, and never mutates corpus maps.  C1..C6
+come from one pass over the corpus: every map is prepared, keyed and
+tested for 3-connectivity once and judged for C1, then it and its
+reflection are reduced; every reduction is run once and judged at once
+for each claim that reads it, and its trace is dropped.  Only the report
+rows of the last corpus swept stay cached, so asking for any one of
+C1..C6 pays for the whole pass, and the others are then read from the
+cache.
 """
 
 from __future__ import annotations
@@ -324,36 +327,41 @@ def _insertions(m: RotationMap, budget: Optional[int] = None
                 yield insert_edge_across_face(m, f.id, i, j)
 
 
-@lru_cache(maxsize=1)
-def _exhaustive_level(n: int, top: Optional[int] = None
-                      ) -> tuple[tuple[str, str], ...]:
-    """All loopless bridgeless cubic planar maps of order n, as
+def _levels(n_max: int, top: Optional[int] = None
+            ) -> Iterator[tuple[int, tuple[tuple[str, str], ...]]]:
+    """(n, level) for n = 2, 4, .. n_max, each level grown from the one
+    before it: all loopless bridgeless cubic planar maps of order n, as
     (canonical key, serialized text) pairs sorted by key; with ``top``,
     only those with p <= top − n, which can still grow into a simple map
-    of order top, each with the full level's text.  Only the last level
-    stays cached: ``corpus`` asks for ascending orders with one ``top``,
-    so each level grows from the one before it.
+    of order top, each with the full level's text.  Only the level being
+    grown and its parent are held.
     """
-    if n == 2:
-        return ((canonical_form(_DIPOLE), serialize_map(_DIPOLE)),)
-    # recurse in the caller's call form, which is the cache's key
-    parents = (_exhaustive_level(n - 2) if top is None
-               else _exhaustive_level(n - 2, top))
-    budget = None if top is None else top - n
-    found: dict[str, str] = {}
-    for _, text in parents:
-        parent = parse_map(text, allow_parallel=True)
-        for child in _insertions(parent, budget):
-            key = canonical_form(child)
-            if key not in found:
-                found[key] = serialize_map(child)
-    return tuple(sorted(found.items()))
+    level = ((canonical_form(_DIPOLE), serialize_map(_DIPOLE)),)
+    yield 2, level
+    for n in range(4, n_max + 1, 2):
+        budget = None if top is None else top - n
+        found: dict[str, str] = {}
+        for _, text in level:
+            parent = parse_map(text, allow_parallel=True)
+            for child in _insertions(parent, budget):
+                key = canonical_form(child)
+                if key not in found:
+                    found[key] = serialize_map(child)
+        level = tuple(sorted(found.items()))
+        yield n, level
 
 
-def _simple_maps(config: GenConfig, top: int) -> Iterator[RotationMap]:
-    """The simple maps of the config's order, from the chain that looks
-    ahead to order top."""
-    for _, text in _exhaustive_level(config.vertex_count, top):
+def _exhaustive_level(n: int, top: Optional[int] = None
+                      ) -> tuple[tuple[str, str], ...]:
+    """The last level of ``_levels(n, top)``: order n, grown afresh."""
+    for _, level in _levels(n, top):
+        pass
+    return level
+
+
+def _simple_maps(level: Iterable[tuple[str, str]]) -> Iterator[RotationMap]:
+    """The simple maps of a level."""
+    for _, text in level:
         m = parse_map(text, allow_parallel=True)
         report = validate(m)
         if report.simple:
@@ -374,7 +382,8 @@ def generate(config: GenConfig) -> Iterator[RotationMap]:
     its text.
     """
     if config.mode == "exhaustive":
-        yield from _simple_maps(config, config.vertex_count)
+        yield from _simple_maps(_exhaustive_level(config.vertex_count,
+                                                  config.vertex_count))
         return
     rng = random.Random(config.seed)
     k4 = parse_map(K4_TEXT)
@@ -420,11 +429,14 @@ def generate(config: GenConfig) -> Iterator[RotationMap]:
 
 def corpus(n_max: int, n_min: int = 4) -> list[RotationMap]:
     """Exhaustive corpora for every even order n_min..n_max, concatenated,
-    from one chain that looks ahead to the largest of them."""
+    from one walk over the levels that looks ahead to the largest of them."""
+    if n_min <= n_max:
+        GenConfig(n_min)    # an order no cubic map has raises OddOrder
     top = n_max - n_max % 2
     maps: list[RotationMap] = []
-    for n in range(n_min, n_max + 1, 2):
-        maps.extend(_simple_maps(GenConfig(n), top))
+    for n, level in _levels(top, top):
+        if n >= n_min:
+            maps.extend(_simple_maps(level))
     return maps
 
 
@@ -484,14 +496,10 @@ def check_claim(claim: str, maps: Iterable[RotationMap]) -> ClaimReport:
     if claim not in CLAIM_IDS:
         raise UnknownClaim(f"claim {claim!r}; known: {', '.join(CLAIM_IDS)}")
     t0 = time.monotonic()
-    maps = tuple(maps)
-    if claim == "C1":
-        violations, instances = _check_tait_colorable(maps)
-    else:
-        rows, found = _claim_rows(maps)[claim]
-        instances = [InstanceRecord(r.map_key, _copy_row(r.detail), r.ok)
-                     for r in rows]
-        violations = [(text, _copy_row(w)) for text, w in found]
+    rows, found = _claim_rows(tuple(maps))[claim]
+    instances = [InstanceRecord(r.map_key, _copy_row(r.detail), r.ok)
+                 for r in rows]
+    violations = [(text, _copy_row(w)) for text, w in found]
     return ClaimReport(claim, len(instances), violations, time.monotonic() - t0,
                        {"claim": claim, "title": CLAIM_TITLES[claim]}, instances)
 
@@ -502,31 +510,20 @@ def _copy_row(row: dict) -> dict:
     return {k: v.copy() if type(v) is list else v for k, v in row.items()}
 
 
-def _check_tait_colorable(maps: Sequence[RotationMap]
-                          ) -> tuple[list[tuple[str, dict]], list[InstanceRecord]]:
-    violations = []
-    instances = []
-    for m in maps:
-        key = canonical_form(m)
-        ec = find_tait_coloring(m)
-        ok = ec is not None and not verify_coloring(m, ec)
-        instances.append(InstanceRecord(key, {"n": m.vertex_count}, ok))
-        if not ok:
-            violations.append((serialize_map(m), {"reason": "no Tait coloring found"}))
-    return violations, instances
-
-
 Judgement = tuple[dict, bool, Optional[dict]]   # (detail, ok, witness)
 Rows = tuple[tuple[InstanceRecord, ...], tuple[tuple[str, dict], ...]]
 
 
 @lru_cache(maxsize=1)
 def _claim_rows(maps: tuple[RotationMap, ...]) -> dict[str, Rows]:
-    """The instance records and violations of C2..C6 over a corpus, from
+    """The instance records and violations of C1..C6 over a corpus, from
     one pass that reduces every instance once.
 
-    Each map is prepared, then its reflection right after it: corpus dedup
-    identifies reflections, but the reduction's outcome can depend on the
+    Each map is prepared, keyed and tested for 3-connectivity once, and
+    C1 judges it; then the map and its reflection are reduced.  Corpus
+    dedup identifies reflections, so the reflection's rows take the map's
+    key with "/mirror" appended, and reflections keep edge cuts, so its
+    3-connectivity too; but the reduction's outcome can depend on the
     orientation, so C4..C6 judge both while C2 and C3 read the map alone.
     Every (pentagon, boundary edge) instance goes once through the module
     binding ``run_procedure``, and each judge that reads its trace returns
@@ -535,25 +532,39 @@ def _claim_rows(maps: tuple[RotationMap, ...]) -> dict[str, Rows]:
     holds the rows of the last corpus swept, keyed by the identity of its
     maps (``RotationMap`` has no ``__eq__``).
     """
-    instances: dict[str, list[InstanceRecord]] = {c: [] for c in _JUDGES}
-    violations: dict[str, list[tuple[str, dict]]] = {c: [] for c in _JUDGES}
+    instances: dict[str, list[InstanceRecord]] = {c: [] for c in CLAIM_IDS}
+    violations: dict[str, list[tuple[str, dict]]] = {c: [] for c in CLAIM_IDS}
+
+    def record(claim: str, key: str, text: str, judgement: Judgement) -> None:
+        detail, ok, witness = judgement
+        instances[claim].append(InstanceRecord(key, detail, ok))
+        if not ok:
+            violations[claim].append((text, witness))
+
     for base in maps:
+        prepared = PreparedMap(base)
+        key = canonical_form(prepared.map)
+        three_connected = is_three_connected(prepared.map)
+        record("C1", key, prepared.text, _judge_tait_colorable(prepared.map))
         for mirror in (False, True):
-            prepared = PreparedMap(base.mirrored() if mirror else base)
+            if mirror:
+                prepared, key = PreparedMap(base.mirrored()), key + "/mirror"
             m = prepared.map
-            key = canonical_form(m) + ("/mirror" if mirror else "")
-            three_connected = is_three_connected(m)
             for f in m.faces:
                 if len(f) != 5:
                     continue
                 for e in sorted({m.edge_id(d) for d in f.darts}):
                     tr = run_procedure(prepared, f.id, deleted_edge=e)
                     for claim in _MIRROR_CLAIMS if mirror else _JUDGES:
-                        detail, ok, witness = _JUDGES[claim](m, three_connected, tr)
-                        instances[claim].append(InstanceRecord(key, detail, ok))
-                        if not ok:
-                            violations[claim].append((tr.map_text, witness))
-    return {c: (tuple(instances[c]), tuple(violations[c])) for c in _JUDGES}
+                        record(claim, key, tr.map_text,
+                               _JUDGES[claim](m, three_connected, tr))
+    return {c: (tuple(instances[c]), tuple(violations[c])) for c in CLAIM_IDS}
+
+
+def _judge_tait_colorable(m: RotationMap) -> Judgement:
+    ec = find_tait_coloring(m)
+    ok = ec is not None and not verify_coloring(m, ec)
+    return {"n": m.vertex_count}, ok, {"reason": "no Tait coloring found"}
 
 
 def _judge_pattern_law(m: RotationMap, three_connected: bool,

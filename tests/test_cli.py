@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from tetracolor import kempe as kp
 from tetracolor.cli import main
-from tetracolor.coloring import (FaceColoring, face4_to_edge3, parse_coloring,
+from tetracolor.coloring import (FaceColoring, face4_to_edge3,
+                                 find_tait_coloring, parse_coloring,
                                  serialize_coloring, verify_coloring)
 from tetracolor.harness import GenConfig, generate
 from tetracolor.planar_map import from_neighbor_lists, parse_map, serialize_map
@@ -22,6 +23,8 @@ from tetracolor.planar_map import from_neighbor_lists, parse_map, serialize_map
 DATA = Path(__file__).parent / "data"
 DODECA = str(DATA / "dodecahedron.map")
 K4_TEXT = "4\n1: 2 4 3\n2: 3 4 1\n3: 1 4 2\n4: 1 2 3\n"
+# K3,3 with a rotation system of genus 1: three faces, not four
+K33_TEXT = "6\n1: 4 5 6\n2: 4 5 6\n3: 4 5 6\n4: 1 2 3\n5: 1 2 3\n6: 1 2 3\n"
 
 
 def test_validate_ok(capsys):
@@ -77,6 +80,22 @@ def test_color_order_200_random_map(tmp_path, capsys):
     fc = parse_coloring(m, capsys.readouterr().out)
     assert isinstance(fc, FaceColoring) and len(fc.assignment) == m.face_count
     assert verify_coloring(m, fc) == []
+
+
+@pytest.mark.parametrize("argv", [["color", "{map}"],
+                                  ["color", "{map}", "--edges"],
+                                  ["dscc", "{map}", "{coloring}"]])
+def test_nonplanar_map_refused(tmp_path, capsys, argv):
+    m = parse_map(K33_TEXT)
+    path = tmp_path / "k33.map"
+    path.write_text(K33_TEXT)
+    coloring = tmp_path / "k33.col"
+    coloring.write_text(serialize_coloring(m, find_tait_coloring(m)))
+    args = [a.format(map=path, coloring=coloring) for a in argv]
+    assert main(args) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and "not a connected planar map" in err
 
 
 def test_dscc_pipeline(tmp_path, capsys):

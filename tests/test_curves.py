@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from tetracolor.coloring import KleinColor
 from tetracolor.curves import (CurveError, CurveSet, PointOnCurve, PolyCurve,
                                Position, SameSetIntersection, SampleOnCurve,
-                               UnknownLabel, as_point, classify_regions, dwn,
+                               as_point, classify_regions, dwn,
                                parse_curve_file, parse_sample_file,
-                               verify_proper_geometric, winding_number)
+                               winding_number)
 
 UNIT_SQUARE = PolyCurve.of([(0, 0), (1, 0), (1, 1), (0, 1)])
 CENTER = as_point(Fraction(1, 2), Fraction(1, 2))
@@ -119,19 +119,6 @@ class TestClassifyRegions:
                                   [("far", as_point(20, 20))])
         assert colors["far"] is KleinColor.C00
 
-
-class TestVerifyProperGeometric:
-    def test_overlap_fixture_proper(self):
-        adjacency = [("outside", "blueonly"), ("blueonly", "overlap"),
-                     ("overlap", "yellowonly"), ("yellowonly", "outside")]
-        assert verify_proper_geometric(BLUE, YELLOW, adjacency, SAMPLES) == []
-
-    def test_same_region_twice_violates(self):
-        samples = SAMPLES + [("overlap2", as_point(Fraction(7, 2), 3))]
-        out = verify_proper_geometric(BLUE, YELLOW, [("overlap", "overlap2")],
-                                      samples)
-        assert len(out) == 1 and "11" in out[0]
-
     def test_nested_squares_differ_in_one_bit(self):
         outer = PolyCurve.of([(-3, -3), (3, -3), (3, 3), (-3, 3)])
         inner = PolyCurve.of([(-1, -1), (1, -1), (1, 1), (-1, 1)])
@@ -141,13 +128,6 @@ class TestVerifyProperGeometric:
         colors = classify_regions(blue, yellow, samples)
         diff = colors["annulus"].value ^ colors["hole"].value
         assert bin(diff).count("1") == 1
-        assert verify_proper_geometric(blue, yellow, [("annulus", "hole")],
-                                       samples) == []
-
-    def test_unknown_label(self):
-        with pytest.raises(UnknownLabel):
-            verify_proper_geometric(BLUE, YELLOW, [("outside", "nowhere")],
-                                    SAMPLES)
 
 
 class TestFiles:

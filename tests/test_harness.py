@@ -3,20 +3,22 @@ import hashlib
 import itertools
 import json
 import random
+import re
 import weakref
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from tetracolor.coloring import find_tait_coloring, verify_coloring
 from tetracolor.harness import (_DIPOLE, CLAIM_IDS, K4_TEXT, GenConfig,
-                                HarnessError, OddOrder, UnknownClaim,
-                                UnsupportedFormat,
+                                HarnessError, InstanceRecord, OddOrder,
+                                UnknownClaim, UnsupportedFormat,
                                 _automorphisms, _child_excess,
-                                _exhaustive_level, canonical_form,
+                                _exhaustive_level, _levels, canonical_form,
                                 check_claim, corpus, emit_report, generate,
                                 insert_edge_across_face, is_three_connected)
-from tetracolor.planar_map import (from_neighbor_lists, parse_map,
+from tetracolor.planar_map import (MapError, from_neighbor_lists, parse_map,
                                    serialize_map, validate)
 
 
@@ -184,12 +186,12 @@ class TestGenerate:
         gen = {canonical_form(m) for m in generate(GenConfig(n))}
         assert gen == oracle
 
-    def test_pruned_levels_equal_every_insertion(self):
+    def test_pruned_levels_equal_every_insertion(self, full_levels):
         # try every insertion of every parent and keep the first text seen
         # per key: the texts fix the corpus numbering, and so the C5 counts
         for n in range(4, 13, 2):
             found = {}
-            for _, text in _exhaustive_level(n - 2):
+            for _, text in full_levels[n - 2]:
                 parent = parse_map(text, allow_parallel=True)
                 for f in parent.faces:
                     for i in range(len(f)):
@@ -197,15 +199,12 @@ class TestGenerate:
                             child = insert_edge_across_face(parent, f.id, i, j)
                             found.setdefault(canonical_form(child),
                                              serialize_map(child))
-            assert _exhaustive_level(n) == tuple(sorted(found.items()))
+            assert full_levels[n] == tuple(sorted(found.items()))
 
-    def test_level_cache_keeps_one_level(self):
-        corpus(12)
-        info = _exhaustive_level.cache_info()
-        assert info.maxsize == info.currsize == 1
-        _exhaustive_level(6)
-        _exhaustive_level(8)
-        assert _exhaustive_level.cache_info().hits == info.hits + 1
+    def test_level_does_not_depend_on_earlier_calls(self, full_levels):
+        before = _exhaustive_level(12)
+        corpus(14)
+        assert before == _exhaustive_level(12) == full_levels[12]
 
     def test_every_emitted_map_validates(self):
         for n in (4, 6, 8, 10):
@@ -259,8 +258,8 @@ def random_walk_reference(n, count, seed):
 
 @pytest.fixture(scope="module")
 def full_levels():
-    """The full multigraph levels of orders 2..14, grown in one chain."""
-    return {n: _exhaustive_level(n) for n in range(2, 15, 2)}
+    """The full multigraph levels of orders 2..14, from one walk."""
+    return dict(_levels(14))
 
 
 def excess(m):
@@ -275,11 +274,11 @@ def simple_pairs(level):
 
 
 class TestLookAhead:
-    def test_predicted_excess_matches_the_built_child(self):
+    def test_predicted_excess_matches_the_built_child(self, full_levels):
         # every insertion of every parent of the full levels up to order 12
         cases = {"digon": 0, "class of two": 0, "larger class": 0}
         for n in range(2, 11, 2):
-            for _, text in _exhaustive_level(n):
+            for _, text in full_levels[n]:
                 parent = parse_map(text, allow_parallel=True)
                 predict = _child_excess(parent)
                 ends = [frozenset((parent.origin(d), parent.head(d)))
@@ -311,8 +310,8 @@ class TestLookAhead:
         texts = [serialize_map(m) for m in generate(GenConfig(12))]
         assert texts == [text for _, text in simple_pairs(full_levels[12])]
         assert all(excess(parse_map(text, allow_parallel=True)) <= 12 - n
-                   for n in range(2, 13, 2)
-                   for _, text in _exhaustive_level(n, 12))
+                   for n, level in _levels(12, 12)
+                   for _, text in level)
 
 
 def rooted_maps(maps):
@@ -342,6 +341,46 @@ class TestCompletenessAnchors:
         counts = [rooted_maps(m for m in corpus16 if m.vertex_count == n)
                   for n in range(4, 17, 2)]
         assert counts == [1, 3, 19, 128, 909, 6737, 51683]
+
+
+# sha256 of the jsonl, csv and text reports of each claim over corpus12,
+# runtime masked
+REPORTS12 = {
+    "C1": ("12ed9e30c1ec71b54bf5b7471a85a63a5eb1d8d9dbff1e3c13fecf058162c892",
+           "92c4f285b653e15c45d338364fe2dfc3fe0b78f125f94b3950cb291915ca409d",
+           "d6081a252f943776c0da9b15f879671011f1ca8299886f0cf99caa6ca2d25e0f"),
+    "C2": ("343a21a92f373119e85c60a476a06abbbfaf0c8b960885603099b274c80dba3e",
+           "363317e56ed0770fe78cd44d6c2070eb54eaec838d523b51a51b8e0dd98e670d",
+           "0bdf1b1b1720c663355b2f825b302047542fe7461d3a2f2cce22f95266181d84"),
+    "C3": ("30acfcf8c09414250aec2355329aac0383184922dfa739dc63489906c11810ec",
+           "847630b1df118482f6c5f59a2c29d9ce7d385b124e77e4d359149e9c76b9c5ba",
+           "1e52bc60bde6d8f394e7f81c67b8ec8c80de4330023240ae17425565e9253fff"),
+    "C4": ("bda2d09f2f14bb2c3c118243b8b9854ec6f09530b0d84a56b7ec30c3b601b24a",
+           "874819b5e954e0c4d5a480604bd006b0dbb6bd625ca879f5c2dd5c106c335a4a",
+           "28ede374a7f45790542e791926ac504d3e6dd4e89cdbd7eead37442c87ff7ebc"),
+    "C5": ("bd0e75505994ff4facd8b5608995b2c7078db30e7ba3b7ea063d39b2675b82cf",
+           "d0e1b74b5ce03b83a0388cb623403f463e816323c3ad4a35641f0ba47a9aad58",
+           "1aad71d735570fa11d8694ce1129419a41de390c199d3de57fd3e269a92fa2b6"),
+    "C6": ("a9e472f86701367ffb333a624186648cdf4bf3eb052ddb058ce631f70d963021",
+           "822f4d021ded70bbbc756d2da9a669e4a158d33841547ffa367f571b9eb0198d",
+           "72841e052eb763020f65325314f8377b8afa28389dab9785a4a49ec445a83947"),
+}
+
+# two K4s, each with one edge subdivided, the new vertices joined by a bridge
+BRIDGED_TEXT = ("10\n1: 9 4 3\n2: 3 4 9\n3: 1 4 2\n4: 1 2 3\n5: 10 8 7\n"
+                "6: 7 8 10\n7: 5 8 6\n8: 5 6 7\n9: 1 2 10\n10: 5 6 9\n")
+
+
+def tait_colorable_reference(maps):
+    """C1 as a loop of its own over the maps: (violations, instances)."""
+    violations, instances = [], []
+    for m in maps:
+        ec = find_tait_coloring(m)
+        ok = ec is not None and not verify_coloring(m, ec)
+        instances.append(InstanceRecord(canonical_form(m), {"n": m.vertex_count}, ok))
+        if not ok:
+            violations.append((serialize_map(m), {"reason": "no Tait coloring found"}))
+    return violations, instances
 
 
 class TestCheckClaim:
@@ -414,17 +453,49 @@ class TestCheckClaim:
 
     def test_sweep_reduces_every_instance_once(self, corpus12, monkeypatch):
         from tetracolor import harness
-        inner = harness.run_procedure
-        calls = []
+        calls = Counter()
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return inner(*args, **kwargs)
+        def count(name):
+            inner = getattr(harness, name)
 
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+            monkeypatch.setattr(harness, name, counted)
+
+        for name in ("run_procedure", "canonical_form", "is_three_connected"):
+            count(name)
         harness._claim_rows.cache_clear()
-        monkeypatch.setattr(harness, "run_procedure", counted)
         reports = {c: check_claim(c, corpus12) for c in CLAIM_IDS}
-        assert len(calls) == reports["C4"].instances_checked > 0
+        assert calls["run_procedure"] == reports["C4"].instances_checked > 0
+        # one key and one 3-connectivity test per map: the reflection's
+        # rows reuse both
+        assert (calls["canonical_form"] == calls["is_three_connected"]
+                == len(corpus12))
+
+    def test_reports_of_corpus12_are_pinned(self, corpus12):
+        # sha256 of each report with its runtime masked; the csv rows are
+        # the only record of the clean instances
+        for claim in CLAIM_IDS:
+            report = check_claim(claim, corpus12)
+            for fmt, want in zip(("jsonl", "csv", "text"), REPORTS12[claim]):
+                out = emit_report(report, fmt)
+                out = re.sub(r'"runtime_s": [0-9.e-]+', '"runtime_s": 0', out)
+                out = re.sub(r"runtime: [0-9.]+s", "runtime: 0.00s", out)
+                got = hashlib.sha256(out.encode()).hexdigest()
+                assert got == want, (claim, fmt)
+
+    def test_c1_equals_a_loop_over_the_maps(self, corpus12):
+        violations, instances = tait_colorable_reference(corpus12)
+        report = check_claim("C1", corpus12)
+        assert report.instances == instances and len(instances) == len(corpus12)
+        assert report.violations == violations == []
+
+    def test_c1_refuses_a_bridged_map_like_c2(self):
+        with pytest.raises(MapError) as c2:
+            check_claim("C2", [parse_map(BRIDGED_TEXT)])
+        with pytest.raises(type(c2.value)):
+            check_claim("C1", [parse_map(BRIDGED_TEXT)])
 
     def test_variant_cache_keeps_the_last_corpus(self, corpus12, recurrence14):
         from tetracolor import harness
