@@ -91,7 +91,6 @@ EDGE_ORDER = (EdgeColor.BLUE, EdgeColor.YELLOW, EdgeColor.GREEN)
 @dataclass(frozen=True)
 class FaceColoring:
     assignment: dict[int, KleinColor]
-    outer_face: int = 0
 
     def __getitem__(self, face: int) -> KleinColor:
         return self.assignment[face]
@@ -362,7 +361,7 @@ def _dual_xor_walk(m: RotationMap, delta: Mapping[int, int]) -> FaceColoring:
                 raise Inconsistent(f"dual paths disagree at face {g}")
     if -1 in colors:
         raise Inconsistent("dual graph is disconnected")
-    return FaceColoring({f: KLEIN_ORDER[c] for f, c in enumerate(colors)}, outer_face=0)
+    return FaceColoring({f: KLEIN_ORDER[c] for f, c in enumerate(colors)})
 
 
 def verify_coloring(m: RotationMap,
@@ -456,7 +455,7 @@ def parse_coloring(m: RotationMap, text: str) -> Union[FaceColoring, EdgeColorin
     if faces and edges:
         raise ColoringError("a coloring file holds faces or edges, not both")
     if faces:
-        return FaceColoring(faces, outer_face=0)
+        return FaceColoring(faces)
     return EdgeColoring(edges)
 
 

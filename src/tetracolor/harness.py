@@ -39,6 +39,8 @@ cache.
 from __future__ import annotations
 
 import bisect
+import csv
+import io
 import json
 import random
 import time
@@ -686,11 +688,13 @@ def emit_report(report: ClaimReport, format: str = "text") -> str:
                                      "map": text}, sort_keys=True))
         return "\n".join(lines) + "\n"
     if format == "csv":
-        lines = ["claim,map_key,ok,detail"]
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(("claim", "map_key", "ok", "detail"))
         for rec in report.instances:
-            detail = json.dumps(rec.detail).replace('"', "'")
-            lines.append(f"{report.claim},{rec.map_key},{int(rec.ok)},\"{detail}\"")
-        return "\n".join(lines) + "\n"
+            writer.writerow((report.claim, rec.map_key, int(rec.ok),
+                             json.dumps(rec.detail)))
+        return buf.getvalue()
     if format == "text":
         verdict = ("no counterexample found at this scale" if report.ok
                    else f"{len(report.violations)} violation(s) found")

@@ -35,7 +35,7 @@ from typing import Optional, Union
 from .coloring import (EDGE_ORDER, EdgeColor, EdgeColoring, find_tait_coloring,
                        serialize_coloring, verify_coloring)
 from .dscc import split_subgraphs
-from .planar_map import (ContractionRecord, MapError, RotationMap,
+from .planar_map import (ContractionRecord, MapError, NotCubic, RotationMap,
                          contract_face, delete_edge_suppress, parse_map,
                          serialize_map, validate)
 
@@ -81,17 +81,8 @@ class NoPentagon(KempeError):
 class KempeChain:
     """A connected edge set drawn from two color classes."""
 
-    host: RotationMap
     color_pair: frozenset[EdgeColor]
     edges: frozenset[int]
-
-    @property
-    def is_simple_cycle(self) -> bool:
-        degs: dict[int, int] = {}
-        for e in self.edges:
-            for v in self.host.edge_endpoints(e):
-                degs[v] = degs.get(v, 0) + 1
-        return bool(degs) and all(d == 2 for d in degs.values())
 
 
 def find_chain(m: RotationMap, ec: Colors, seed: int,
@@ -112,7 +103,7 @@ def find_chain(m: RotationMap, ec: Colors, seed: int,
                 if e2 not in seen and ec[e2] in pair:
                     seen.add(e2)
                     stack.append(e2)
-    return KempeChain(m, pair, frozenset(seen))
+    return KempeChain(pair, frozenset(seen))
 
 
 def _pair_walk(m: RotationMap, ec: Colors, start_dart: int,
@@ -151,8 +142,7 @@ def cycle_through(m: RotationMap, ec: Colors, hub: int, hub_dart: int,
                   pair: frozenset[EdgeColor]) -> KempeChain:
     """The unique two-colored simple cycle through one hub dart."""
     walk, _end = _pair_walk(m, ec, hub_dart, pair, hub)
-    edges = frozenset(m.edge_id(d) for d in walk)
-    return KempeChain(m, pair, edges)
+    return KempeChain(pair, frozenset(m.edge_id(d) for d in walk))
 
 
 def hub_pairing(m: RotationMap, ec: Colors, hub: int,
@@ -162,10 +152,6 @@ def hub_pairing(m: RotationMap, ec: Colors, hub: int,
     partner: dict[int, int] = {}
     for d in darts:
         if d in partner:
-            continue
-        if m.head(d) == hub:  # loop edge at the hub
-            partner[d] = m.twin(d)
-            partner[m.twin(d)] = d
             continue
         _, end = _pair_walk(m, ec, d, pair, hub)
         partner[d] = end
@@ -209,16 +195,19 @@ def _invert(colors, chain: KempeChain) -> None:
 class VertexPattern:
     """Colors around the hub in clockwise rotation order.
 
-    ``tbci`` is true when the three majority-colored darts are cyclically
-    consecutive; the even-parity laws force every legal pattern into a
-    3-1-1 color multiset, which pattern_at validates.
+    The even-parity laws force every legal pattern into a 3-1-1 color
+    multiset, which pattern_at validates.  ``tbci`` is true when the three
+    majority-colored darts are cyclically consecutive, that is when the two
+    other darts are neighbors.  Otherwise ``lone`` is the index of the one
+    majority dart whose two neighbors are not majority-colored; it is None
+    on a tbci pattern.
     """
 
     darts: tuple[int, ...]
     cyclic_colors: tuple[EdgeColor, ...]
-    multiset: tuple[tuple[EdgeColor, int], ...]
     majority: EdgeColor
     tbci: bool
+    lone: Optional[int]
 
     @property
     def word(self) -> str:
@@ -247,35 +236,16 @@ def pattern_at(m: RotationMap, ec: Colors, hub: int) -> VertexPattern:
         raise PatternNotAllowed(
             f"hub parity violated: word {''.join(c.value for c in colors)}")
     majority = max(counts, key=lambda c: counts[c])
-    # parity forces all three counts odd, hence 3-1-1
-    assert sorted(counts.values()) == [1, 1, 3]
-    maj_pos = [i for i, c in enumerate(colors) if c == majority]
-    tbci = _contiguous(maj_pos, 5)
-    multiset = tuple((c, counts[c]) for c in EDGE_ORDER)
-    return VertexPattern(darts=darts, cyclic_colors=colors, multiset=multiset,
-                         majority=majority, tbci=tbci)
-
-
-def _contiguous(positions: list[int], n: int) -> bool:
-    k = len(positions)
-    pos = set(positions)
-    return any(all((s + i) % n in pos for i in range(k)) for s in range(n))
-
-
-def _lone_index(pattern: VertexPattern) -> int:
-    """Index of the majority dart whose cyclic neighbors are non-majority."""
-    colors = pattern.cyclic_colors
-    n = len(colors)
-    for i, c in enumerate(colors):
-        if (c == pattern.majority
-                and colors[(i - 1) % n] != pattern.majority
-                and colors[(i + 1) % n] != pattern.majority):
-            return i
-    raise PreconditionPattern("no lone majority dart (pattern is tbci?)")
+    # parity forces all three counts odd, hence 3-1-1: a < b are the two
+    # positions the majority does not hold
+    a, b = (i for i, c in enumerate(colors) if c is not majority)
+    tbci = b - a in (1, 4)
+    lone = None if tbci else (a + 1 if b - a == 2 else (b + 1) % 5)
+    return VertexPattern(darts=darts, cyclic_colors=colors, majority=majority,
+                         tbci=tbci, lone=lone)
 
 
 def classify_topology(m: RotationMap, ec: Colors, hub: int,
-                      majority: EdgeColor,
                       pattern: Optional[VertexPattern] = None) -> TopologyClass:
     """How the majority curve's two hub passages pair the four hub darts.
 
@@ -294,25 +264,20 @@ def classify_topology(m: RotationMap, ec: Colors, hub: int,
     """
     if pattern is None:
         pattern = pattern_at(m, ec, hub)
+    majority = pattern.majority
     if pattern.tbci:
         raise PreconditionPattern("pattern is tbci; nothing to classify")
-    if majority != pattern.majority:
-        raise PreconditionPattern(
-            f"majority {majority} does not match the pattern's {pattern.majority}")
     if majority == EdgeColor.GREEN:
         raise PreconditionPattern("green majority must be normalized away first")
     if any(m.head(d) == hub for d in pattern.darts):
         raise PreconditionPattern("loop at the hub")
     pair = frozenset((majority, EdgeColor.GREEN))
+    # a non-green 3-1-1 majority puts four darts on its curve
     curve_darts = [d for d, c in zip(pattern.darts, pattern.cyclic_colors)
                    if c in pair]
-    if len(curve_darts) != 4:
-        raise PreconditionPattern(
-            f"majority curve has {len(curve_darts)} hub darts, want 4")
-    lone_i = _lone_index(pattern)
-    lone = pattern.darts[lone_i]
+    lone = pattern.darts[pattern.lone]
     green = pattern.darts[pattern.cyclic_colors.index(EdgeColor.GREEN)]
-    mirrored = pattern.cyclic_colors[(lone_i + 1) % 5] != EdgeColor.GREEN
+    mirrored = pattern.cyclic_colors[(pattern.lone + 1) % 5] != EdgeColor.GREEN
     partner = hub_pairing(m, ec, hub, pair)
     k = curve_darts.index(lone)
     p = curve_darts[k:] + curve_darts[:k]  # cyclic order from the lone dart
@@ -328,15 +293,24 @@ def classify_topology(m: RotationMap, ec: Colors, hub: int,
 # pentagon expansion
 # ---------------------------------------------------------------------------
 
+# the third edge color at a proper vertex holding the other two; a pair
+# with a repeated color has none
+_THIRD = {(a, b): c for a in EDGE_ORDER for b in EDGE_ORDER for c in EDGE_ORDER
+          if len({a, b, c}) == 3}
+
+
 def expand_vertex(m: RotationMap, ec: Colors, record: ContractionRecord
                   ) -> Optional[tuple[RotationMap, EdgeColoring]]:
     """Restore the contracted pentagon and extend the coloring onto it.
 
     ``m`` is the map contract_face returned with ``record``.  Every edge
-    that survived the contraction keeps its color; the five pentagon
-    boundary edges are assigned by exhaustive search over proper local
-    extensions.  Returns None when no extension exists, which is exactly
-    the non-tbci situation.
+    that survived the contraction keeps its color.  At each boundary
+    vertex the two walk edges take the two colors its off-walk edge
+    lacks, so the first walk edge's color forces all the others; the
+    colors are tried in EDGE_ORDER and the first walk that closes is
+    kept, the least extension in walk order.  Returns None when no
+    extension exists, which is exactly the non-tbci situation.  Raises
+    NotCubic when a boundary vertex has other than one off-walk edge.
     """
     if m.degree(record.hub) != 5:
         raise DegreeMismatch(f"hub degree is {m.degree(record.hub)}, want 5")
@@ -345,39 +319,28 @@ def expand_vertex(m: RotationMap, ec: Colors, record: ContractionRecord
     colors: dict[int, EdgeColor] = {}
     for child_edge, parent_edge in record.edge_map.items():
         colors[parent_edge] = ec[child_edge]
-    boundary = [parent.edge_id(d) for d in record.boundary_darts]
-    bverts = record.boundary_vertices
-    k = len(boundary)
+    # walk edge i leaves boundary vertex i; spokes[i] is the color of
+    # that vertex's off-walk edge
+    walk = [parent.edge_id(d) for d in record.boundary_darts]
+    spokes = []
+    for v in record.boundary_vertices:
+        off = [e for e in map(parent.edge_id, parent.vertex_darts(v))
+               if e not in walk]
+        if len(off) != 1:
+            raise NotCubic(f"boundary vertex {v} has {len(off)} off-walk edges, want 1")
+        spokes.append(colors[off[0]])
 
-    # the boundary edges join boundary vertices, the only ones checked
-    vert_edges = {v: [parent.edge_id(d) for d in parent.vertex_darts(v)]
-                  for v in bverts}
-
-    def consistent(v: int) -> bool:
-        cs = [colors[e] for e in vert_edges[v] if e in colors]
-        return len(cs) == len(set(cs))
-
-    # depth-first over the boundary edges in walk order, colours in
-    # EDGE_ORDER; tried[i] counts the colours tried at position i
-    tried = [0] * k
-    i = 0
-    while True:
-        if i == k:
-            if all(consistent(v) for v in bverts):
-                break
-            i -= 1
-        e = boundary[i]
-        colors.pop(e, None)
-        if tried[i] == len(EDGE_ORDER):
-            if i == 0:
-                return None
-            tried[i] = 0
-            i -= 1
-            continue
-        colors[e] = EDGE_ORDER[tried[i]]
-        tried[i] += 1
-        if all(consistent(w) for w in parent.edge_endpoints(e)):
-            i += 1
+    # round vertices 1..4 and back to 0: the walk closes when vertex 0
+    # forces the first color again (a clash forces None from then on)
+    for first in EDGE_ORDER:
+        forced = [first]
+        for spoke in spokes[1:] + spokes[:1]:
+            forced.append(_THIRD.get((spoke, forced[-1])))
+        if forced[-1] is first:
+            break
+    else:
+        return None
+    colors.update(zip(walk, forced))
     full = EdgeColoring(dict(sorted(colors.items())))
     if verify_coloring(parent, full):
         return None  # extension claimed proper but is not; treat as absent
@@ -661,8 +624,7 @@ def run_procedure(n_map: Union[RotationMap, PreparedMap], pentagon: int,
         if pattern.majority == EdgeColor.GREEN:
             # swap green with the singleton clockwise after the lone dart, the
             # global recoloring that makes the majority a plain curve color
-            lone_i = _lone_index(pattern)
-            cw_color = pattern.cyclic_colors[(lone_i + 1) % 5]
+            cw_color = pattern.cyclic_colors[(pattern.lone + 1) % 5]
             perm = {EdgeColor.GREEN: cw_color, cw_color: EdgeColor.GREEN}
             for e in edges:
                 ec[e] = perm.get(ec[e], ec[e])
@@ -672,7 +634,7 @@ def run_procedure(n_map: Union[RotationMap, PreparedMap], pentagon: int,
             continue
 
         try:
-            topo = classify_topology(cmap, ec, hub, pattern.majority, pattern)
+            topo = classify_topology(cmap, ec, hub, pattern)
         except UnclassifiedTopology as exc:
             events.append(Anomaly(ANOMALY_UNCLASSIFIED, {"error": str(exc), **snapshot()}))
             return finish()
@@ -703,20 +665,13 @@ def run_procedure(n_map: Union[RotationMap, PreparedMap], pentagon: int,
             continue
 
         # T1 / T1p: blue-yellow cycle through the lone dart first, then
-        # through the non-green singleton dart
-        lone_i = _lone_index(pattern)
+        # through the non-green singleton dart, the one dart neither
+        # majority nor green (the majority is not green here)
         if phase == 0:
-            seed = pattern.darts[lone_i]
+            seed = pattern.darts[pattern.lone]
         else:
-            singles = [d for i, d in enumerate(pattern.darts)
-                       if pattern.cyclic_colors[i] not in
-                       (pattern.majority, EdgeColor.GREEN)]
-            if len(singles) != 1:
-                events.append(Anomaly(ANOMALY_PATTERN,
-                                      {"error": "no unique non-green singleton",
-                                       **snapshot()}))
-                return finish()
-            seed = singles[0]
+            seed = next(d for d, c in zip(pattern.darts, pattern.cyclic_colors)
+                        if c is not pattern.majority and c is not EdgeColor.GREEN)
         cycle = cycle_through(cmap, ec, hub, seed, _PAIR_BY)
         _invert(ec, cycle)
         pattern = pattern_at(cmap, ec, hub)
@@ -762,7 +717,7 @@ def replay_inversions(trace: ReductionTrace) -> bool:
             ec = EdgeColoring({e: perm.get(c, c) for e, c in ec.assignment.items()})
         elif isinstance(ev, Inverted):
             pair = frozenset(EdgeColor.parse(ch) for ch in ev.pair)
-            ec = invert_chain(ec, KempeChain(m, pair, frozenset(ev.edges)))
+            ec = invert_chain(ec, KempeChain(pair, frozenset(ev.edges)))
         else:
             continue
         try:

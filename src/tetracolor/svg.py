@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 import math
+from xml.sax.saxutils import escape
 
 from .coloring import EdgeColor, EdgeColoring
 from .curves import CurveSet, Point
@@ -127,6 +128,6 @@ def render_curves_svg(blue: CurveSet, yellow: CurveSet,
         parts.append(f'  <circle cx="{x:.1f}" cy="{y:.1f}" r="6" fill="{fill}" '
                      f'stroke="#333333"/>')
         parts.append(f'  <text x="{x + 8:.1f}" y="{y - 8:.1f}" font-size="11" '
-                     f'font-family="sans-serif">{label}</text>')
+                     f'font-family="sans-serif">{escape(label)}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import xml.etree.ElementTree as ET
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -119,6 +120,20 @@ def test_curves_classify(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "outside 00" in out and "overlap 11" in out
     assert svg.read_text().startswith("<svg")
+
+
+def test_curves_classify_svg_escapes_labels(tmp_path):
+    curves = tmp_path / "c.curves"
+    curves.write_text("[blue]\ncurve\n0 0\n4 0\n4 4\n0 4\n\n"
+                      "[yellow]\ncurve\n2 2\n6 2\n6 6\n2 6\n")
+    samples = tmp_path / "c.samples"
+    samples.write_text("a&b -1 -1\n<x> 3 3\n")
+    svg = tmp_path / "c.svg"
+    assert main(["curves", "classify", str(curves), str(samples),
+                 "--svg", str(svg)]) == 0
+    root = ET.parse(svg).getroot()
+    texts = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert texts == ["a&b", "<x>"]
 
 
 def test_reduce_with_trace_and_svg(tmp_path, capsys, monkeypatch):

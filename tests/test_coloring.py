@@ -77,7 +77,7 @@ def least_face(m):
             f -= 1
             c = colors[f] + 1
             colors[f] = -1
-    return FaceColoring({f: KLEIN_ORDER[c] for f, c in enumerate(colors)}, outer_face=0)
+    return FaceColoring({f: KLEIN_ORDER[c] for f, c in enumerate(colors)})
 
 
 def brute_force_face_coloring(m):
@@ -91,7 +91,7 @@ def brute_force_face_coloring(m):
     for combo in itertools.product(KLEIN_ORDER, repeat=m.face_count - 1):
         colors = (KleinColor.C00,) + combo
         if all(colors[f] != colors[g] for f in range(m.face_count) for g in adj[f]):
-            return FaceColoring(dict(enumerate(colors)), outer_face=0)
+            return FaceColoring(dict(enumerate(colors)))
     return None
 
 

@@ -1,5 +1,7 @@
+import csv
 import gc
 import hashlib
+import io
 import itertools
 import json
 import random
@@ -347,22 +349,22 @@ class TestCompletenessAnchors:
 # runtime masked
 REPORTS12 = {
     "C1": ("12ed9e30c1ec71b54bf5b7471a85a63a5eb1d8d9dbff1e3c13fecf058162c892",
-           "92c4f285b653e15c45d338364fe2dfc3fe0b78f125f94b3950cb291915ca409d",
+           "1a3559c27052efe0bce8bbebc4bcdabb13cd09884f0913ce1fab7efaa826f9df",
            "d6081a252f943776c0da9b15f879671011f1ca8299886f0cf99caa6ca2d25e0f"),
     "C2": ("343a21a92f373119e85c60a476a06abbbfaf0c8b960885603099b274c80dba3e",
-           "363317e56ed0770fe78cd44d6c2070eb54eaec838d523b51a51b8e0dd98e670d",
+           "4fcf9633f23bca6eca6e9ce141a69ffe1ac4ac769479ccd5a9a486f00c1ed468",
            "0bdf1b1b1720c663355b2f825b302047542fe7461d3a2f2cce22f95266181d84"),
     "C3": ("30acfcf8c09414250aec2355329aac0383184922dfa739dc63489906c11810ec",
-           "847630b1df118482f6c5f59a2c29d9ce7d385b124e77e4d359149e9c76b9c5ba",
+           "dda66f6a893656d790b8dd63d8fa1e461e6b28160f9e396211c10298bfac6f3c",
            "1e52bc60bde6d8f394e7f81c67b8ec8c80de4330023240ae17425565e9253fff"),
     "C4": ("bda2d09f2f14bb2c3c118243b8b9854ec6f09530b0d84a56b7ec30c3b601b24a",
-           "874819b5e954e0c4d5a480604bd006b0dbb6bd625ca879f5c2dd5c106c335a4a",
+           "4ba6be08584de5591ab8925f26b052e8318d956a50689c75b1c277b74d7bd4cb",
            "28ede374a7f45790542e791926ac504d3e6dd4e89cdbd7eead37442c87ff7ebc"),
     "C5": ("bd0e75505994ff4facd8b5608995b2c7078db30e7ba3b7ea063d39b2675b82cf",
-           "d0e1b74b5ce03b83a0388cb623403f463e816323c3ad4a35641f0ba47a9aad58",
+           "30d776c43f6745d5d7b3baa6ffa184e98e66ec9b2efb55894d30725cfe0652d0",
            "1aad71d735570fa11d8694ce1129419a41de390c199d3de57fd3e269a92fa2b6"),
     "C6": ("a9e472f86701367ffb333a624186648cdf4bf3eb052ddb058ce631f70d963021",
-           "822f4d021ded70bbbc756d2da9a669e4a158d33841547ffa367f571b9eb0198d",
+           "d9aad18b67e56b082da0338770961deae10299b92d5780d39b33602b780615f6",
            "72841e052eb763020f65325314f8377b8afa28389dab9785a4a49ec445a83947"),
 }
 
@@ -580,6 +582,18 @@ class TestEmitReport:
         report = check_claim("C2", corpus12)
         lines = emit_report(report, "csv").splitlines()
         assert len(lines) == 1 + report.instances_checked
+
+    def test_csv_rows_parse_back_to_the_instance_records(self, corpus12):
+        # map keys hold commas and details hold quotes: both must survive
+        for claim in CLAIM_IDS:
+            report = check_claim(claim, corpus12)
+            rows = list(csv.reader(io.StringIO(emit_report(report, "csv"))))
+            assert rows[0] == ["claim", "map_key", "ok", "detail"]
+            assert len(rows) == 1 + len(report.instances)
+            for row, rec in zip(rows[1:], report.instances):
+                assert len(row) == 4
+                assert row[:3] == [claim, rec.map_key, str(int(rec.ok))]
+                assert json.loads(row[3]) == rec.detail
 
     def test_unsupported_format(self, corpus12):
         report = check_claim("C1", corpus12[:1])

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import json
 from collections import Counter
 
@@ -19,16 +20,20 @@ from tetracolor.kempe import (ANOMALY_TOPOLOGY_RECURRENCE,
                               expand_vertex, find_chain, hub_pairing,
                               invert_chain, pattern_at, replay_inversions,
                               replay_trace, run_procedure)
-from tetracolor.planar_map import contract_face, parse_map, serialize_map
+from tetracolor.planar_map import NotCubic, contract_face, parse_map, serialize_map
 
 BY = frozenset((EdgeColor.BLUE, EdgeColor.YELLOW))
 BG = frozenset((EdgeColor.BLUE, EdgeColor.GREEN))
 
 
-def branch_vertices(chain):
+def degrees(m, chain):
+    """How many chain edges meet each vertex of m."""
+    return Counter(v for e in chain.edges for v in m.edge_endpoints(e))
+
+
+def branch_vertices(m, chain):
     """Vertices the chain passes more than once (the hub, typically)."""
-    degs = Counter(v for e in chain.edges for v in chain.host.edge_endpoints(e))
-    return tuple(sorted(v for v, d in degs.items() if d > 2))
+    return tuple(sorted(v for v, d in degrees(m, chain).items() if d > 2))
 
 
 class TestFindChain:
@@ -37,7 +42,7 @@ class TestFindChain:
         seed = next(e for e in k4.edges() if ec[e] is EdgeColor.BLUE)
         chain = find_chain(k4, ec, seed, BY)
         assert len(chain.edges) == 4
-        assert chain.is_simple_cycle
+        assert set(degrees(k4, chain).values()) == {2}
         assert {ec[e] for e in chain.edges} == set(BY)
 
     def test_seed_color_mismatch(self, k4):
@@ -54,8 +59,8 @@ class TestFindChain:
         seed = next(cmap.edge_id(d) for d in pat.darts
                     if ec[cmap.edge_id(d)] in pair)
         chain = find_chain(cmap, ec, seed, pair)
-        assert branch_vertices(chain) == (hub,)
-        assert not chain.is_simple_cycle
+        assert branch_vertices(cmap, chain) == (hub,)
+        assert set(degrees(cmap, chain).values()) != {2}
 
 
 class TestInvert:
@@ -82,8 +87,9 @@ class TestPatternAt:
         assert pat.word == "BYBGB"
         assert not pat.tbci
         assert pat.majority is EdgeColor.BLUE
-        assert dict(pat.multiset) == {EdgeColor.BLUE: 3, EdgeColor.YELLOW: 1,
-                                      EdgeColor.GREEN: 1}
+        assert Counter(pat.cyclic_colors) == {EdgeColor.BLUE: 3, EdgeColor.YELLOW: 1,
+                                              EdgeColor.GREEN: 1}
+        assert pat.lone == 2
 
     def test_tbci_word(self, dodecahedron):
         # search the pentagon sweep for an immediately contiguous pattern
@@ -146,7 +152,7 @@ class TestClassifyTopology:
                     continue
                 if any(cmap.head(d) == hub for d in pat.darts):
                     continue
-                topo = classify_topology(cmap, ec, hub, pat.majority)
+                topo = classify_topology(cmap, ec, hub)
                 pair = frozenset((pat.majority, EdgeColor.GREEN))
                 partner = hub_pairing(cmap, ec, hub, pair)
                 green = next(d for d in pat.darts
@@ -169,8 +175,7 @@ class TestClassifyTopology:
                 if first.tbci:
                     cmap, hub = tr.contracted_map, tr.hub
                     with pytest.raises(PreconditionPattern):
-                        classify_topology(cmap, tr.initial_coloring, hub,
-                                          EdgeColor.parse(first.majority))
+                        classify_topology(cmap, tr.initial_coloring, hub)
                     return
         pytest.skip("no immediately contiguous instance")
 
@@ -309,8 +314,7 @@ def test_chains_on_plain_cubic_maps_are_simple_cycles(corpus12):
                     continue
                 chain = find_chain(m, ec, e, pair)
                 seen |= chain.edges
-                assert chain.is_simple_cycle
-                assert branch_vertices(chain) == ()
+                assert set(degrees(m, chain).values()) == {2}
 
 
 def test_immediately_contiguous_trace_shape(corpus12):
@@ -467,6 +471,25 @@ def _outcome(f, *args):
         return type(exc), str(exc)
 
 
+def _trace_states(tr):
+    """Every coloring along a trace: the start, then each recoloring."""
+    ec = tr.initial_coloring
+    if ec is None:
+        return
+    yield ec
+    for ev in tr.events:
+        if isinstance(ev, Normalized):
+            perm = {EdgeColor.parse(a): EdgeColor.parse(b)
+                    for a, b in ev.permutation}
+            ec = EdgeColoring({x: perm.get(c, c) for x, c in ec.assignment.items()})
+        elif isinstance(ev, Inverted):
+            pair = frozenset(EdgeColor.parse(ch) for ch in ev.pair)
+            ec = invert_chain(ec, KempeChain(pair, frozenset(ev.edges)))
+        else:
+            continue
+        yield ec
+
+
 def test_helpers_read_a_flat_list_as_an_edge_coloring(recurrence14):
     pairs = [frozenset(p) for p in ((EdgeColor.BLUE, EdgeColor.YELLOW),
                                     (EdgeColor.BLUE, EdgeColor.GREEN),
@@ -475,28 +498,13 @@ def test_helpers_read_a_flat_list_as_an_edge_coloring(recurrence14):
     for m in (recurrence14, parse_map(serialize_map(recurrence14.mirrored()))):
         for f, e in _instances(m):
             tr = run_procedure(m, f, deleted_edge=e)
-            if tr.initial_coloring is None:
-                continue
             cmap, hub = tr.contracted_map, tr.hub
-            ec = tr.initial_coloring
-            # every state along the trace: the start, then each recoloring
-            for ev in (None, *tr.events):
-                if isinstance(ev, Normalized):
-                    perm = {EdgeColor.parse(a): EdgeColor.parse(b)
-                            for a, b in ev.permutation}
-                    ec = EdgeColoring({x: perm.get(c, c)
-                                       for x, c in ec.assignment.items()})
-                elif isinstance(ev, Inverted):
-                    pair = frozenset(EdgeColor.parse(ch) for ch in ev.pair)
-                    ec = invert_chain(ec, KempeChain(cmap, pair, frozenset(ev.edges)))
-                elif ev is not None:
-                    continue
+            for ec in _trace_states(tr):
                 flat = _as_list(cmap, ec)
                 assert _outcome(pattern_at, cmap, flat, hub) == \
                     _outcome(pattern_at, cmap, ec, hub)
-                for majority in EDGE_ORDER:
-                    assert _outcome(classify_topology, cmap, flat, hub, majority) == \
-                        _outcome(classify_topology, cmap, ec, hub, majority)
+                assert _outcome(classify_topology, cmap, flat, hub) == \
+                    _outcome(classify_topology, cmap, ec, hub)
                 for pair in pairs:
                     assert _outcome(hub_pairing, cmap, flat, hub, pair) == \
                         _outcome(hub_pairing, cmap, ec, hub, pair)
@@ -506,3 +514,117 @@ def test_helpers_read_a_flat_list_as_an_edge_coloring(recurrence14):
                                 _outcome(cycle_through, cmap, ec, hub, d, pair)
                 states += 1
     assert states > 100
+
+
+# ---------------------------------------------------------------------------
+# the hub model against the scans and the search it replaced
+# ---------------------------------------------------------------------------
+
+def reference_contiguous(positions, n):
+    pos = set(positions)
+    return any(all((s + i) % n in pos for i in range(len(positions)))
+               for s in range(n))
+
+
+def reference_lone_index(colors, majority):
+    """Index of the majority dart whose cyclic neighbors are non-majority."""
+    n = len(colors)
+    for i, c in enumerate(colors):
+        if (c == majority and colors[(i - 1) % n] != majority
+                and colors[(i + 1) % n] != majority):
+            return i
+    return None
+
+
+def reference_expand(m, ec, record):
+    """Depth-first search over the boundary edges in walk order, colors in
+    EDGE_ORDER: the least proper extension onto the restored pentagon."""
+    parent = record.parent
+    colors = {pe: ec[ce] for ce, pe in record.edge_map.items()}
+    boundary = [parent.edge_id(d) for d in record.boundary_darts]
+    bverts = record.boundary_vertices
+    k = len(boundary)
+    vert_edges = {v: [parent.edge_id(d) for d in parent.vertex_darts(v)]
+                  for v in bverts}
+
+    def consistent(v):
+        cs = [colors[e] for e in vert_edges[v] if e in colors]
+        return len(cs) == len(set(cs))
+
+    tried = [0] * k
+    i = 0
+    while True:
+        if i == k:
+            if all(consistent(v) for v in bverts):
+                break
+            i -= 1
+        e = boundary[i]
+        colors.pop(e, None)
+        if tried[i] == len(EDGE_ORDER):
+            if i == 0:
+                return None
+            tried[i] = 0
+            i -= 1
+            continue
+        colors[e] = EDGE_ORDER[tried[i]]
+        tried[i] += 1
+        if all(consistent(w) for w in parent.edge_endpoints(e)):
+            i += 1
+    full = EdgeColoring(dict(sorted(colors.items())))
+    if verify_coloring(parent, full):
+        return None
+    return parent, full
+
+
+def test_pattern_reads_every_hub_word_like_the_scans(dodecahedron):
+    cmap, record = contract_face(dodecahedron, 0)
+    hub_edges = [cmap.edge_id(d) for d in cmap.vertex_darts(record.hub)]
+    assert len(set(hub_edges)) == 5
+    allowed = 0
+    for word in itertools.product(EDGE_ORDER, repeat=5):
+        flat = [None] * cmap.dart_count
+        for e, c in zip(hub_edges, word):
+            flat[e] = c
+        counts = Counter(word)
+        if (counts[EdgeColor.BLUE] + counts[EdgeColor.GREEN]) % 2 or \
+                (counts[EdgeColor.YELLOW] + counts[EdgeColor.GREEN]) % 2:
+            with pytest.raises(PatternNotAllowed):
+                pattern_at(cmap, flat, record.hub)
+            continue
+        pat = pattern_at(cmap, flat, record.hub)
+        assert pat.cyclic_colors == word
+        assert counts[pat.majority] == 3
+        majority_at = [i for i, c in enumerate(word) if c is pat.majority]
+        assert pat.tbci == reference_contiguous(majority_at, 5)
+        assert pat.lone == (None if pat.tbci
+                            else reference_lone_index(word, pat.majority))
+        allowed += 1
+    assert allowed == 60
+
+
+def test_expansion_equals_the_search_on_every_trace_state(corpus12):
+    states = expanded = 0
+    for m in corpus12:
+        for variant in (m, parse_map(serialize_map(m.mirrored()))):
+            prepared = PreparedMap(variant)
+            for f, e in _instances(variant):
+                tr = run_procedure(prepared, f, deleted_edge=e)
+                cmap, record = prepared.contracted(f)
+                for ec in _trace_states(tr):
+                    got = expand_vertex(cmap, ec, record)
+                    assert got == reference_expand(cmap, ec, record)
+                    assert (got is not None) == pattern_at(cmap, ec, tr.hub).tbci
+                    states += 1
+                    expanded += got is not None
+    assert states > 1000 and expanded > 500
+
+
+def test_expansion_refuses_a_boundary_vertex_without_one_off_walk_edge():
+    # the pentagon 1-2-3-4-5 is face 0; vertex 1 has no off-walk edge and
+    # vertex 2 has two, so the hub still has degree five
+    m = parse_map("6\n1: 2 5\n2: 1 3 6 6\n3: 2 4 6\n4: 3 5 6\n5: 4 1 6\n"
+                  "6: 2 2 3 4 5\n", allow_parallel=True)
+    cmap, record = contract_face(m, 0)
+    assert cmap.degree(record.hub) == 5
+    with pytest.raises(NotCubic):
+        expand_vertex(cmap, [EdgeColor.BLUE] * cmap.dart_count, record)
