@@ -26,6 +26,13 @@ def _read(path: str) -> str:
         raise pm.MalformedInput(f"cannot read {path}: {exc}") from None
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise pm.MapError(f"cannot write {path}: {exc}") from None
+
+
 def _read_planar(path: str) -> pm.RotationMap:
     """The map in a file, refused unless it is connected and planar."""
     m = pm.parse_map(_read(path))
@@ -81,8 +88,7 @@ def cmd_curves_classify(args) -> int:
     for label, c in colors.items():
         print(f"{label} {c}")
     if args.svg:
-        Path(args.svg).write_text(
-            svgmod.render_curves_svg(blue, yellow, samples, colors))
+        _write(args.svg, svgmod.render_curves_svg(blue, yellow, samples, colors))
     return 0
 
 
@@ -115,10 +121,10 @@ def cmd_reduce(args) -> int:
               f"topologies {list(tr.topology_sequence)}")
         ok = ok and tr.succeeded
     if args.trace:
-        Path(args.trace).write_text("".join(jsonl))
+        _write(args.trace, "".join(jsonl))
     if args.svg:
         tr = traces[0]
-        Path(args.svg).write_text(svgmod.render_map_svg(
+        _write(args.svg, svgmod.render_map_svg(
             tr.contracted_map, tr.final_coloring, hub=tr.hub))
     return 0 if ok else 1
 

@@ -52,7 +52,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 from .coloring import EdgeColor, find_tait_coloring, verify_coloring
 from .dscc import EvenSubgraph, trail_decompose
 from .kempe import (ANOMALY_NO_TAIT, Inverted, Pattern, PreparedMap,
-                    ReductionTrace, Topology, find_chain, hub_pairing,
+                    ReductionTrace, Topology, cycle_through, find_chain,
                     replay_inversions, run_procedure)
 from .planar_map import MapError, RotationMap, parse_map, serialize_map, validate
 
@@ -378,10 +378,12 @@ def generate(config: GenConfig) -> Iterator[RotationMap]:
     face by its rank in least-dart order and two distinct positions i < j
     on its walk from that dart, and join the two edges there by a chord
     (``_add_chord``), until the order is reached.  The walk runs on the
-    dart arrays and keeps every face walk as it goes, so one
-    ``RotationMap`` is built per emitted map, not one per insertion; its
-    faces must equal the kept walks.  Each map is emitted as the parse of
-    its text.
+    dart arrays and keeps only each face's least dart; the drawn face is
+    walked from it when drawn.  A chord's darts are numbered above all
+    others, so only the face it cuts off, w[i+1..j] between two new
+    darts, gains a least dart.  One ``RotationMap`` is built per emitted map, not one
+    per insertion, and its faces must start at the kept least darts.
+    Each map is emitted as the parse of its text.
     """
     if config.mode == "exhaustive":
         yield from _simple_maps(_exhaustive_level(config.vertex_count,
@@ -391,39 +393,24 @@ def generate(config: GenConfig) -> Iterator[RotationMap]:
     k4 = parse_map(K4_TEXT)
     for _ in range(config.count):
         twin, origin, nxt = list(k4._twin), list(k4._origin), list(k4._next)
-        walks = [list(f.darts) for f in k4.faces]   # by least dart, from it
-        walk_of = [walks[f] for f in k4._face_of]
+        leasts = [f.darts[0] for f in k4.faces]
         nverts = k4.vertex_count
         while nverts < config.vertex_count:
-            w = walks[rng.randrange(len(walks))]
+            w = [leasts[rng.randrange(len(leasts))]]
+            d = nxt[twin[w[0]]]
+            while d != w[0]:
+                w.append(d)
+                d = nxt[twin[d]]
             i = rng.randrange(len(w))
             j = rng.randrange(len(w))
             if i == j:
                 continue  # stay simple: two distinct boundary edges
             i, j = min(i, j), max(i, j)
-            a, b = w[i], w[j]
-            ta, tb = twin[a], twin[b]
-            D = len(twin)
-            _add_chord(twin, origin, nxt, nverts, a, b)
+            _add_chord(twin, origin, nxt, nverts, w[i], w[j])
             nverts += 2
-            # The chord splits w: w keeps its least dart and runs
-            # a, g, d2y on to its end; the new face runs d2x, w[i+1..j], h
-            # and is rotated to its least dart.  The faces across a and b
-            # (distinct from w: no bridges) gain t2x after ta, t2y after tb.
-            new = [D + 1] + w[i + 1:j + 1] + [D + 5]
-            w[i + 1:j + 1] = [D + 4, D + 3]
-            k = new.index(min(new))
-            new = new[k:] + new[:k]
-            bisect.insort(walks, new)
-            walk_of += [None, w, None, w, w, new]
-            for d in new:
-                walk_of[d] = new
-            for t, d in ((ta, D), (tb, D + 2)):
-                across = walk_of[t]
-                across.insert(across.index(t) + 1, d)
-                walk_of[d] = across
+            bisect.insort(leasts, min(w[i + 1:j + 1]))
         m = RotationMap(twin, origin, nxt, nverts)
-        assert [list(f.darts) for f in m.faces] == walks
+        assert [f.darts[0] for f in m.faces] == leasts
         m = parse_map(serialize_map(m))
         assert validate(m).all_ok
         yield m
@@ -586,7 +573,16 @@ def _judge_pattern_law(m: RotationMap, three_connected: bool,
 
 def _judge_chain_existence(m: RotationMap, three_connected: bool,
                            tr: ReductionTrace) -> Judgement:
-    """Trail cycles through the hub must agree with chain walk pairings."""
+    """Each simple trail cycle through the hub must be the walk's cycle.
+
+    In the blue-green and the yellow-green subgraph, every trail of the
+    decomposition that is a simple cycle through the hub must come back
+    on an edge of the two-coloured walk from its departure dart
+    (``cycle_through``), and of the chain ``find_chain`` grows from the
+    departure edge.  The walk meets the hub only where it leaves and
+    where it returns, so the first test says the trail and the walk
+    close the same passage.
+    """
     if tr.initial_coloring is None or tr.contracted_map is None:
         return {"pentagon": tr.pentagon, "skipped": "no coloring"}, True, None
     cmap, hub, ec = tr.contracted_map, tr.hub, tr.initial_coloring
@@ -601,9 +597,6 @@ def _judge_chain_existence(m: RotationMap, three_connected: bool,
         if len(hub_darts) not in (0, 2, 4):
             ok = False
             break
-        if not hub_darts:
-            continue
-        partner = hub_pairing(cmap, ec, hub, pair)
         trails = trail_decompose(EvenSubgraph(sub_edges, color), cmap)
         for t in trails:
             hub_t = [d for d in t.darts if cmap.origin(d) == hub]
@@ -612,9 +605,10 @@ def _judge_chain_existence(m: RotationMap, three_connected: bool,
             depart = hub_t[0]
             arrive = cmap.twin(t.darts[(t.darts.index(depart) - 1) % len(t.darts)])
             checked += 1
+            back = cmap.edge_id(arrive)
+            cycle = cycle_through(cmap, ec, hub, depart, pair)
             chain = find_chain(cmap, ec, cmap.edge_id(depart), pair)
-            if (partner[depart] != arrive
-                    or cmap.edge_id(arrive) not in chain.edges):
+            if back not in cycle.edges or back not in chain.edges:
                 ok = False
     return ({"pentagon": tr.pentagon, "cycles_checked": checked}, ok,
             {"pentagon": tr.pentagon, "edge": list(tr.deleted_edge)})
@@ -660,8 +654,9 @@ def _judge_always_expands(m: RotationMap, three_connected: bool,
         # the premise (a colorable smaller map) fails; record, don't blame
         detail["skipped"] = "smaller map has no Tait coloring"
         return detail, True, None
-    # no silent acceptance: re-verify the expanded coloring
-    if tr.succeeded and not verify_coloring(*tr.result):
+    # expand_vertex verifies every coloring it returns, and a trace
+    # succeeds only through it, so success needs no second check here
+    if tr.succeeded:
         return detail, True, None
     return detail, False, {**detail, "trace": tr.to_jsonl()}
 

@@ -145,23 +145,6 @@ def cycle_through(m: RotationMap, ec: Colors, hub: int, hub_dart: int,
     return KempeChain(pair, frozenset(m.edge_id(d) for d in walk))
 
 
-def hub_pairing(m: RotationMap, ec: Colors, hub: int,
-                pair: frozenset[EdgeColor]) -> dict[int, int]:
-    """How the hub darts of the two-colored subgraph pair up via walks."""
-    darts = [d for d in m.vertex_darts(hub) if ec[m.edge_id(d)] in pair]
-    partner: dict[int, int] = {}
-    for d in darts:
-        if d in partner:
-            continue
-        _, end = _pair_walk(m, ec, d, pair, hub)
-        partner[d] = end
-        partner[end] = d
-    # consistency: the pairing must be a perfect matching on the hub darts
-    if sorted(partner) != sorted(darts) or any(partner[partner[d]] != d for d in darts):
-        raise KempeError("hub walk pairing is not an involution")
-    return partner
-
-
 def invert_chain(ec: EdgeColoring, chain: KempeChain) -> EdgeColoring:
     """Swap the chain's two colors on exactly its edges.
 
@@ -252,15 +235,18 @@ def classify_topology(m: RotationMap, ec: Colors, hub: int,
     The majority curve is the majority-plus-green subgraph; at the hub it
     holds the three majority darts and the green dart, and its two hub
     passages are vertex-disjoint away from the hub, so planarity admits
-    only the two non-crossing pairings.  When the green dart pairs with
-    the lone majority dart the state is topology 2: inverting that one
-    passage cycle hands the majority all three slots around the former
-    lone position, i.e. forces tbci.  When the green dart pairs with a
-    member of the majority pair the state is topology 1, the resistant
-    shape.  The primed labels are the mirror variants, read off from
-    which side of the lone dart the green singleton sits; an interleaved
-    pairing cannot be drawn in the plane and raises UnclassifiedTopology.
-    ``pattern`` is pattern_at(m, ec, hub) when the caller has read it.
+    only the two non-crossing pairings.  One walk along the curve from
+    the green dart tells them apart.  When it ends at the lone majority
+    dart the state is topology 2: inverting that one passage cycle hands
+    the majority all three slots around the former lone position, i.e.
+    forces tbci.  When it ends at green's other neighbour, the member of
+    the majority pair two slots from the lone dart, the state is
+    topology 1, the resistant shape.  The primed labels are the mirror
+    variants, read off from which side of the lone dart the green
+    singleton sits.  A walk to the far member of the pair would make an
+    interleaved pairing, which cannot be drawn in the plane and raises
+    UnclassifiedTopology.  ``pattern`` is pattern_at(m, ec, hub) when the
+    caller has read it.
     """
     if pattern is None:
         pattern = pattern_at(m, ec, hub)
@@ -271,22 +257,18 @@ def classify_topology(m: RotationMap, ec: Colors, hub: int,
         raise PreconditionPattern("green majority must be normalized away first")
     if any(m.head(d) == hub for d in pattern.darts):
         raise PreconditionPattern("loop at the hub")
+    darts, lone = pattern.darts, pattern.lone
+    g = pattern.cyclic_colors.index(EdgeColor.GREEN)
+    # green sits next to the lone dart, clockwise unless mirrored
+    mirrored = g != (lone + 1) % 5
     pair = frozenset((majority, EdgeColor.GREEN))
-    # a non-green 3-1-1 majority puts four darts on its curve
-    curve_darts = [d for d, c in zip(pattern.darts, pattern.cyclic_colors)
-                   if c in pair]
-    lone = pattern.darts[pattern.lone]
-    green = pattern.darts[pattern.cyclic_colors.index(EdgeColor.GREEN)]
-    mirrored = pattern.cyclic_colors[(pattern.lone + 1) % 5] != EdgeColor.GREEN
-    partner = hub_pairing(m, ec, hub, pair)
-    k = curve_darts.index(lone)
-    p = curve_darts[k:] + curve_darts[:k]  # cyclic order from the lone dart
-    if partner[p[0]] == p[2]:
-        raise UnclassifiedTopology(
-            "interleaved hub passages, impossible in a planar embedding")
-    if partner[green] == lone:
+    _walk, end = _pair_walk(m, ec, darts[g], pair, hub)
+    if end == darts[lone]:
         return TopologyClass.T2P if mirrored else TopologyClass.T2
-    return TopologyClass.T1P if mirrored else TopologyClass.T1
+    if end == darts[(lone - 2 if mirrored else lone + 2) % 5]:
+        return TopologyClass.T1P if mirrored else TopologyClass.T1
+    raise UnclassifiedTopology(
+        "interleaved hub passages, impossible in a planar embedding")
 
 
 # ---------------------------------------------------------------------------

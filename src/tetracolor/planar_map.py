@@ -197,10 +197,6 @@ class RotationMap:
             raise MapError(f"no edge between {u} and {v}")
         return best
 
-    def neighbor_lists(self) -> list[list[int]]:
-        return [[self.head(d) for d in self._vertex_darts[v]]
-                for v in range(self._vertex_count)]
-
     def mirrored(self) -> "RotationMap":
         """The reflected map: every vertex rotation reversed."""
         n = self.dart_count

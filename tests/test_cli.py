@@ -252,6 +252,23 @@ def test_validate_missing_file_exit_code(tmp_path, capsys):
     assert err.startswith("error: cannot read ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["reduce", DODECA, "--trace", "{out}"],
+    ["reduce", DODECA, "--svg", "{out}"],
+    ["curves", "classify", "{curves}", "{samples}", "--svg", "{out}"],
+])
+def test_unwritable_output_exit_code(tmp_path, capsys, argv):
+    curves = tmp_path / "c.curves"
+    curves.write_text("[blue]\ncurve\n0 0\n4 0\n4 4\n0 4\n")
+    samples = tmp_path / "c.samples"
+    samples.write_text("outside -1 -1\n")
+    out = tmp_path / "absent" / "out"
+    assert main([a.format(out=out, curves=curves, samples=samples)
+                 for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+
+
 def test_reduce_without_pentagon_exit_code(tmp_path, capsys):
     k4 = tmp_path / "k4.map"
     k4.write_text(K4_TEXT)
@@ -377,11 +394,12 @@ def _invocation(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(argv=_invocation(), map_text=MAP_TEXT, coloring=COLORING_TEXT,
-       curves=CURVE_TEXT, samples=SAMPLE_TEXT)
+       curves=CURVE_TEXT, samples=SAMPLE_TEXT,
+       out=st.sampled_from(["out", "absent/out"]))  # the second cannot be written
 def test_every_subcommand_exits_0_1_or_2(argv, map_text, coloring, curves,
-                                         samples):
+                                         samples, out):
     with tempfile.TemporaryDirectory() as tmp:
-        paths = {"out": str(Path(tmp) / "out")}
+        paths = {"out": str(Path(tmp) / out)}
         for name, text in (("map", map_text), ("coloring", coloring),
                            ("curves", curves), ("samples", samples)):
             paths[name] = str(Path(tmp) / name)

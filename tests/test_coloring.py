@@ -178,7 +178,9 @@ def joined_by_bridge(a, b):
     """The cubic map made of a and b, each with the first edge of its first
     vertex subdivided, and the two new vertices joined by a bridge."""
     na = a.vertex_count
-    lists = a.neighbor_lists() + [[v + na for v in row] for row in b.neighbor_lists()]
+    lists = [[a.head(d) for d in a.vertex_darts(v)] for v in range(na)]
+    lists += [[b.head(d) + na for d in b.vertex_darts(v)]
+              for v in range(b.vertex_count)]
     x, y = len(lists), len(lists) + 1
     for u, new, far in ((0, x, y), (na, y, x)):
         v = lists[u][0]

@@ -24,6 +24,11 @@ from tetracolor.planar_map import (MapError, from_neighbor_lists, parse_map,
                                    serialize_map, validate)
 
 
+def neighbor_lists(m):
+    """Each vertex's clockwise neighbours, as from_neighbor_lists takes them."""
+    return [[m.head(d) for d in m.vertex_darts(v)] for v in range(m.vertex_count)]
+
+
 class TestGenConfig:
     def test_odd_order(self):
         with pytest.raises(OddOrder):
@@ -40,7 +45,7 @@ class TestGenConfig:
 
 class TestCanonicalForm:
     def test_stable_under_relabeling(self, k4):
-        lists = k4.neighbor_lists()
+        lists = neighbor_lists(k4)
         keys = set()
         for perm in itertools.permutations(range(4)):
             new = [None] * 4
@@ -75,7 +80,7 @@ class TestCanonicalForm:
             (m,) = generate(GenConfig(n, mode="random", count=1, seed=n))
             key = canonical_form(m)
             for base in (m, m.mirrored()):
-                lists = base.neighbor_lists()
+                lists = neighbor_lists(base)
                 for _ in range(2):
                     perm = list(range(n))
                     rng.shuffle(perm)
@@ -236,11 +241,15 @@ class TestGenerate:
             assert got == random_walk_reference(n, 2, seed)
 
     def test_random_maps_digest(self):
-        texts = [serialize_map(m) for n in range(4, 41, 2) for s in (0, 1, n)
-                 for m in generate(GenConfig(n, mode="random", count=3, seed=s))]
-        assert len(texts) == 171
-        assert hashlib.sha256("".join(texts).encode()).hexdigest() == (
-            "c299252d007003a041cac8dfee658fca65b329a170b296374ad393d2b0d9091a")
+        for runs, count, maps, digest in (
+                ([(n, s) for n in range(4, 41, 2) for s in (0, 1, n)], 3, 171,
+                 "c299252d007003a041cac8dfee658fca65b329a170b296374ad393d2b0d9091a"),
+                ([(n, s) for n in (60, 80, 100, 200) for s in range(3)], 2, 24,
+                 "0c0f6ad4e88b224da619bb319485072894d503cc6d58e5538837a4fc2bf97f3b")):
+            texts = [serialize_map(m) for n, s in runs
+                     for m in generate(GenConfig(n, mode="random", count=count, seed=s))]
+            assert len(texts) == maps
+            assert hashlib.sha256("".join(texts).encode()).hexdigest() == digest
 
 
 def random_walk_reference(n, count, seed):
@@ -421,7 +430,7 @@ class TestCheckClaim:
         # a relabelled copy is isomorphic to the witness map but numbered
         # differently, so its reductions start elsewhere and must not reuse
         # the original's traces
-        lists = recurrence14.neighbor_lists()
+        lists = neighbor_lists(recurrence14)
         perm = list(range(len(lists)))
         random.Random(7).shuffle(perm)
         new = [None] * len(lists)

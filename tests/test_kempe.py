@@ -16,10 +16,11 @@ from tetracolor.kempe import (ANOMALY_TOPOLOGY_RECURRENCE,
                               KempeChain, KempeError, NoPentagon, Normalized,
                               Pattern, PatternNotAllowed, PreconditionPattern,
                               PreparedMap, SeedColorMismatch, Topology,
-                              TopologyClass, classify_topology, cycle_through,
-                              expand_vertex, find_chain, hub_pairing,
-                              invert_chain, pattern_at, replay_inversions,
-                              replay_trace, run_procedure)
+                              TopologyClass, UnclassifiedTopology,
+                              classify_topology, cycle_through,
+                              expand_vertex, find_chain, invert_chain,
+                              pattern_at, replay_inversions, replay_trace,
+                              run_procedure)
 from tetracolor.planar_map import NotCubic, contract_face, parse_map, serialize_map
 
 BY = frozenset((EdgeColor.BLUE, EdgeColor.YELLOW))
@@ -34,6 +35,49 @@ def degrees(m, chain):
 def branch_vertices(m, chain):
     """Vertices the chain passes more than once (the hub, typically)."""
     return tuple(sorted(v for v, d in degrees(m, chain).items() if d > 2))
+
+
+def hub_pairing(m, ec, hub, pair):
+    """How the hub darts of the two-colored subgraph pair up via walks."""
+    darts = [d for d in m.vertex_darts(hub) if ec[m.edge_id(d)] in pair]
+    partner = {}
+    for d in darts:
+        if d in partner:
+            continue
+        _, end = kempe._pair_walk(m, ec, d, pair, hub)
+        partner[d] = end
+        partner[end] = d
+    # consistency: the pairing must be a perfect matching on the hub darts
+    if sorted(partner) != sorted(darts) or any(partner[partner[d]] != d for d in darts):
+        raise KempeError("hub walk pairing is not an involution")
+    return partner
+
+
+def reference_topology(m, ec, hub):
+    """The topology read off the pairing of all four curve darts."""
+    pattern = pattern_at(m, ec, hub)
+    colors = pattern.cyclic_colors
+    if pattern.tbci:
+        raise PreconditionPattern("pattern is tbci; nothing to classify")
+    if pattern.majority == EdgeColor.GREEN:
+        raise PreconditionPattern("green majority must be normalized away first")
+    if any(m.head(d) == hub for d in pattern.darts):
+        raise PreconditionPattern("loop at the hub")
+    pair = frozenset((pattern.majority, EdgeColor.GREEN))
+    curve_darts = [d for d, c in zip(pattern.darts, colors) if c in pair]
+    i = reference_lone_index(colors, pattern.majority)
+    lone = pattern.darts[i]
+    green = pattern.darts[colors.index(EdgeColor.GREEN)]
+    mirrored = colors[(i + 1) % 5] is not EdgeColor.GREEN
+    partner = hub_pairing(m, ec, hub, pair)
+    k = curve_darts.index(lone)
+    p = curve_darts[k:] + curve_darts[:k]  # cyclic order from the lone dart
+    if partner[p[0]] == p[2]:
+        raise UnclassifiedTopology(
+            "interleaved hub passages, impossible in a planar embedding")
+    if partner[green] == lone:
+        return TopologyClass.T2P if mirrored else TopologyClass.T2
+    return TopologyClass.T1P if mirrored else TopologyClass.T1
 
 
 class TestFindChain:
@@ -138,34 +182,22 @@ class TestClassifyTopology:
         assert seen == {"T1", "T1p", "T2", "T2p"}
 
     def test_t2_means_green_pairs_with_lone(self, corpus12):
-        checked = 0
+        # every state of every trace, in both orientations: the one walk
+        # from the green dart gives the label the full pairing gives
+        labels = Counter()
         for m in corpus12:
-            for f in m.faces:
-                if len(f) != 5:
-                    continue
-                tr = run_procedure(m, f.id)
-                if tr.initial_coloring is None:
-                    continue
-                cmap, hub, ec = tr.contracted_map, tr.hub, tr.initial_coloring
-                pat = pattern_at(cmap, ec, hub)
-                if pat.tbci or pat.majority is EdgeColor.GREEN:
-                    continue
-                if any(cmap.head(d) == hub for d in pat.darts):
-                    continue
-                topo = classify_topology(cmap, ec, hub)
-                pair = frozenset((pat.majority, EdgeColor.GREEN))
-                partner = hub_pairing(cmap, ec, hub, pair)
-                green = next(d for d in pat.darts
-                             if ec[cmap.edge_id(d)] is EdgeColor.GREEN)
-                lone = next(
-                    pat.darts[i] for i, c in enumerate(pat.cyclic_colors)
-                    if c is pat.majority
-                    and pat.cyclic_colors[(i - 1) % 5] is not pat.majority
-                    and pat.cyclic_colors[(i + 1) % 5] is not pat.majority)
-                expect_fixable = partner[green] == lone
-                assert (topo in (TopologyClass.T2, TopologyClass.T2P)) == expect_fixable
-                checked += 1
-        assert checked > 20
+            for variant in (m, parse_map(serialize_map(m.mirrored()))):
+                prepared = PreparedMap(variant)
+                for f, e in _instances(variant):
+                    tr = run_procedure(prepared, f, deleted_edge=e)
+                    cmap, hub = tr.contracted_map, tr.hub
+                    for ec in _trace_states(tr):
+                        topo = _outcome(classify_topology, cmap, ec, hub)
+                        assert topo == _outcome(reference_topology, cmap, ec, hub)
+                        if isinstance(topo, TopologyClass):
+                            labels[topo] += 1
+        assert set(labels) == set(TopologyClass)
+        assert sum(labels.values()) > 400, labels
 
     def test_tbci_precondition(self, dodecahedron):
         for f in dodecahedron.faces:
