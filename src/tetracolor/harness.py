@@ -54,7 +54,8 @@ from .dscc import EvenSubgraph, trail_decompose
 from .kempe import (ANOMALY_NO_TAIT, Inverted, Pattern, PreparedMap,
                     ReductionTrace, Topology, cycle_through, find_chain,
                     replay_inversions, run_procedure)
-from .planar_map import MapError, RotationMap, parse_map, serialize_map, validate
+from .planar_map import (MapError, RotationMap, _renumbered_as_parsed, parse_map,
+                         serialize_map, validate)
 
 
 class HarnessError(MapError):
@@ -371,6 +372,20 @@ def _simple_maps(level: Iterable[tuple[str, str]]) -> Iterator[RotationMap]:
             yield m
 
 
+def _face_leasts(twin: Sequence[int], nxt: Sequence[int]) -> list[int]:
+    """The least dart of every face, ascending: one pass over the darts."""
+    seen = [False] * len(twin)
+    leasts = []
+    for d0 in range(len(twin)):
+        if not seen[d0]:
+            leasts.append(d0)
+            d = d0
+            while not seen[d]:
+                seen[d] = True
+                d = nxt[twin[d]]
+    return leasts
+
+
 def generate(config: GenConfig) -> Iterator[RotationMap]:
     """Stream corpus maps; every emitted map passes validate with all flags.
 
@@ -381,9 +396,12 @@ def generate(config: GenConfig) -> Iterator[RotationMap]:
     dart arrays and keeps only each face's least dart; the drawn face is
     walked from it when drawn.  A chord's darts are numbered above all
     others, so only the face it cuts off, w[i+1..j] between two new
-    darts, gains a least dart.  One ``RotationMap`` is built per emitted map, not one
-    per insertion, and its faces must start at the kept least darts.
-    Each map is emitted as the parse of its text.
+    darts, gains a least dart.  The kept least darts must be the faces'
+    least darts of the finished arrays.  Those arrays are then renumbered
+    as ``parse_map`` numbers the map's text (``_renumbered_as_parsed``)
+    and built once: one ``RotationMap`` per emitted map, with no text
+    round trip.  That numbering is the parse's only for a map without
+    parallel edges, which ``validate``'s ``simple`` flag asserts.
     """
     if config.mode == "exhaustive":
         yield from _simple_maps(_exhaustive_level(config.vertex_count,
@@ -409,10 +427,9 @@ def generate(config: GenConfig) -> Iterator[RotationMap]:
             _add_chord(twin, origin, nxt, nverts, w[i], w[j])
             nverts += 2
             bisect.insort(leasts, min(w[i + 1:j + 1]))
-        m = RotationMap(twin, origin, nxt, nverts)
-        assert [f.darts[0] for f in m.faces] == leasts
-        m = parse_map(serialize_map(m))
-        assert validate(m).all_ok
+        assert _face_leasts(twin, nxt) == leasts
+        m = _renumbered_as_parsed(twin, origin, nxt, nverts)
+        assert validate(m).all_ok   # simple, so numbered as the parse of its text
         yield m
 
 

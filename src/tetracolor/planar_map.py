@@ -386,20 +386,62 @@ def serialize_map(m: RotationMap) -> str:
     return "\n".join(out) + "\n"
 
 
+def _renumbered_as_parsed(twin: Sequence[int], origin: Sequence[int],
+                          nxt: Sequence[int], vertex_count: int) -> RotationMap:
+    """The map of these dart arrays, numbered as ``parse_map`` numbers its
+    text: vertex by vertex, each rotation from its least dart, with twin
+    and next mapped through that permutation; built once.
+
+    Equal to ``parse_map(serialize_map(m))`` only when the map has no
+    parallel edges or loops: the parse pairs the darts of parallel edges
+    by their position in the text, not by the given twin.
+    """
+    n = len(twin)
+    first = [-1] * vertex_count
+    for d in range(n - 1, -1, -1):
+        first[origin[d]] = d
+    # the build checks the renumbered arrays, which speaks for the given
+    # ones only when the renumbering is a permutation of the darts
+    new = [-1] * n
+    order: list[int] = []
+    for d0 in first:
+        d = d0
+        while d >= 0 and new[d] < 0:
+            new[d] = len(order)
+            order.append(d)
+            d = nxt[d]
+        if d != d0:
+            raise MalformedInput("rotation is not a permutation")
+    if len(order) != n:
+        raise MalformedInput("rotation at some vertex splits into several cycles")
+    return RotationMap([new[twin[d]] for d in order], [origin[d] for d in order],
+                       [new[nxt[d]] for d in order], vertex_count)
+
+
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
 
 def validate(m: RotationMap) -> ValidationReport:
-    n = m.vertex_count
+    """The structural flags of m, read off its dart arrays.
+
+    ``connected``: one component; ``simple``: no loop and no parallel
+    edge; ``planar``: connected with V − E + F = 2; ``cubic``: every
+    vertex of degree 3; ``bridgeless``: connected with no bridge.  A map
+    with no vertices has every flag False and ``min_degree`` 0.
+    """
+    n = m._vertex_count
+    if n == 0:
+        return ValidationReport(connected=False, simple=False, planar=False,
+                                cubic=False, bridgeless=False, min_degree=0)
+    origin, twin, rotations = m._origin, m._twin, m._vertex_darts
     seen = [False] * n
     stack = [0]
     seen[0] = True
     count = 1
     while stack:
-        v = stack.pop()
-        for d in m.vertex_darts(v):
-            w = m.head(d)
+        for d in rotations[stack.pop()]:
+            w = origin[twin[d]]
             if not seen[w]:
                 seen[w] = True
                 count += 1
@@ -407,25 +449,25 @@ def validate(m: RotationMap) -> ValidationReport:
     connected = count == n
 
     simple = True
-    for v in range(n):
-        heads = [m.head(d) for d in m.vertex_darts(v)]
-        if v in heads or len(set(heads)) != len(heads):
+    for v, darts in enumerate(rotations):
+        heads = {origin[twin[d]] for d in darts}
+        if v in heads or len(heads) != len(darts):
             simple = False
             break
 
     planar = connected and (n - m.edge_count + m.face_count == 2)
-    degrees = [m.degree(v) for v in range(n)]
-    cubic = bool(degrees) and all(dg == 3 for dg in degrees)
-    min_degree = min(degrees) if degrees else 0
+    degrees = [len(darts) for darts in rotations]
+    cubic = all(dg == 3 for dg in degrees)
     bridgeless = connected and not find_bridges(m)
     return ValidationReport(connected=connected, simple=simple, planar=planar,
                             cubic=cubic, bridgeless=bridgeless,
-                            min_degree=min_degree)
+                            min_degree=min(degrees))
 
 
 def find_bridges(m: RotationMap) -> list[int]:
     """Bridge edge ids, by an iterative lowpoint search over darts."""
-    n = m.vertex_count
+    origin, twin, rotations = m._origin, m._twin, m._vertex_darts
+    n = m._vertex_count
     disc = [-1] * n
     low = [0] * n
     bridges: list[int] = []
@@ -436,18 +478,19 @@ def find_bridges(m: RotationMap) -> list[int]:
         disc[root] = low[root] = timer
         timer += 1
         stack: list[tuple[int, int, Iterator[int]]] = [
-            (root, -1, iter(m.vertex_darts(root)))]
+            (root, -1, iter(rotations[root]))]
         while stack:
             v, in_dart, it = stack[-1]
+            back = twin[in_dart] if in_dart >= 0 else -1
             advanced = False
             for d in it:
-                if in_dart >= 0 and d == m.twin(in_dart):
+                if d == back:
                     continue  # skip the arrival dart itself; parallels still count
-                w = m.head(d)
+                w = origin[twin[d]]
                 if disc[w] < 0:
                     disc[w] = low[w] = timer
                     timer += 1
-                    stack.append((w, d, iter(m.vertex_darts(w))))
+                    stack.append((w, d, iter(rotations[w])))
                     advanced = True
                     break
                 low[v] = min(low[v], disc[w])
@@ -457,7 +500,7 @@ def find_bridges(m: RotationMap) -> list[int]:
                     pv = stack[-1][0]
                     low[pv] = min(low[pv], low[v])
                     if low[v] > disc[pv]:
-                        bridges.append(m.edge_id(in_dart))
+                        bridges.append(min(in_dart, twin[in_dart]))
     return bridges
 
 

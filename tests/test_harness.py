@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+from tetracolor import harness
 from tetracolor.coloring import find_tait_coloring, verify_coloring
 from tetracolor.harness import (_DIPOLE, CLAIM_IDS, K4_TEXT, GenConfig,
                                 HarnessError, InstanceRecord, OddOrder,
@@ -20,8 +21,9 @@ from tetracolor.harness import (_DIPOLE, CLAIM_IDS, K4_TEXT, GenConfig,
                                 _exhaustive_level, _levels, canonical_form,
                                 check_claim, corpus, emit_report, generate,
                                 insert_edge_across_face, is_three_connected)
-from tetracolor.planar_map import (MapError, from_neighbor_lists, parse_map,
-                                   serialize_map, validate)
+from tetracolor.kempe import PreparedMap
+from tetracolor.planar_map import (MapError, RotationMap, from_neighbor_lists,
+                                   parse_map, serialize_map, validate)
 
 
 def neighbor_lists(m):
@@ -250,6 +252,32 @@ class TestGenerate:
                      for m in generate(GenConfig(n, mode="random", count=count, seed=s))]
             assert len(texts) == maps
             assert hashlib.sha256("".join(texts).encode()).hexdigest() == digest
+
+    def test_random_maps_are_numbered_as_their_parse(self):
+        for n in (*range(4, 61, 2), 80, 100, 200):
+            for s in range(5):
+                for m in generate(GenConfig(n, mode="random", count=2, seed=s)):
+                    parsed = parse_map(serialize_map(m))
+                    assert ((m._twin, m._origin, m._next)
+                            == (parsed._twin, parsed._origin, parsed._next))
+                    assert PreparedMap(m).map is m
+
+    def test_one_build_and_no_text_round_trip_per_random_map(self, monkeypatch):
+        calls = Counter()
+
+        def counted(name, f):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return f(*args, **kwargs)
+            return wrapper
+        monkeypatch.setattr(harness, "parse_map", counted("parse", harness.parse_map))
+        monkeypatch.setattr(harness, "serialize_map",
+                            counted("serialize", harness.serialize_map))
+        monkeypatch.setattr(RotationMap, "__init__",
+                            counted("build", RotationMap.__init__))
+        maps = list(generate(GenConfig(30, mode="random", count=4, seed=2)))
+        assert len(maps) == 4
+        assert calls == {"parse": 1, "build": 1 + 4}   # K4's parse, then one per map
 
 
 def random_walk_reference(n, count, seed):

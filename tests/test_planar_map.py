@@ -2,13 +2,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tetracolor.harness import (GenConfig, _exhaustive_level, canonical_form,
-                                generate)
+from tetracolor.harness import (GenConfig, _exhaustive_level, _levels,
+                                canonical_form, corpus, generate)
 from tetracolor.planar_map import (BridgeDeletion, DuplicateNeighbor,
                                    MalformedInput, NonReciprocal,
-                                   NonSimpleBoundary, UnknownFace,
+                                   NonSimpleBoundary, RotationMap, UnknownFace,
+                                   ValidationReport, _renumbered_as_parsed,
                                    contract_face, delete_edge_suppress,
-                                   from_neighbor_lists,
+                                   find_bridges, from_neighbor_lists,
                                    parse_map, serialize_map, validate)
 from conftest import K4_TEXT
 
@@ -101,6 +102,138 @@ class TestValidate:
                       "4: 1 5 6\n5: 4 6 6\n6: 4 5 5\n", allow_parallel=True)
         report = validate(m)
         assert report.cubic and not report.bridgeless and not report.simple
+
+
+    def test_empty_map_has_no_flag(self):
+        report = validate(RotationMap([], [], [], 0))
+        assert report == ValidationReport(connected=False, simple=False,
+                                          planar=False, cubic=False,
+                                          bridgeless=False, min_degree=0)
+
+    def test_equals_the_method_call_reference(self):
+        k4_rows = [[1, 3, 2], [2, 3, 0], [0, 3, 1], [0, 1, 2]]
+        two_k4 = k4_rows + [[w + 4 for w in row] for row in k4_rows]
+        bridged = [list(row) for row in two_k4]
+        bridged[0].append(4)
+        bridged[4].append(0)
+        maps = [m2 for m in corpus(12) for m2 in (m, m.mirrored())]
+        maps += [parse_map(text, allow_parallel=True)
+                 for _, level in _levels(10) for _, text in level]
+        maps += [m for n in (8, 20, 60) for s in range(3)
+                 for m in generate(GenConfig(n, mode="random", count=2, seed=s))]
+        non_planar = parse_map("4\n1: 2 3 4\n2: 3 4 1\n3: 1 4 2\n4: 1 2 3\n")
+        maps += [from_neighbor_lists(bridged), from_neighbor_lists(two_k4),
+                 parse_map("3\n1: 2\n2: 1\n3:\n"),
+                 parse_map("1\n1: 1 1\n", allow_parallel=True), non_planar]
+        assert not validate(non_planar).planar
+        assert find_bridges(maps[-5]) and not validate(maps[-4]).connected
+        for m in maps:
+            assert validate(m) == reference_validate(m)
+            assert find_bridges(m) == reference_find_bridges(m)
+
+
+def reference_validate(m):
+    """validate through the map's accessor methods, as first written."""
+    n = m.vertex_count
+    seen = [False] * n
+    stack = [0]
+    seen[0] = True
+    count = 1
+    while stack:
+        v = stack.pop()
+        for d in m.vertex_darts(v):
+            w = m.head(d)
+            if not seen[w]:
+                seen[w] = True
+                count += 1
+                stack.append(w)
+    connected = count == n
+
+    simple = True
+    for v in range(n):
+        heads = [m.head(d) for d in m.vertex_darts(v)]
+        if v in heads or len(set(heads)) != len(heads):
+            simple = False
+            break
+
+    planar = connected and (n - m.edge_count + m.face_count == 2)
+    degrees = [m.degree(v) for v in range(n)]
+    cubic = bool(degrees) and all(dg == 3 for dg in degrees)
+    min_degree = min(degrees) if degrees else 0
+    bridgeless = connected and not reference_find_bridges(m)
+    return ValidationReport(connected=connected, simple=simple, planar=planar,
+                            cubic=cubic, bridgeless=bridgeless,
+                            min_degree=min_degree)
+
+
+def reference_find_bridges(m):
+    """find_bridges through the map's accessor methods, as first written."""
+    n = m.vertex_count
+    disc = [-1] * n
+    low = [0] * n
+    bridges = []
+    timer = 0
+    for root in range(n):
+        if disc[root] >= 0:
+            continue
+        disc[root] = low[root] = timer
+        timer += 1
+        stack = [(root, -1, iter(m.vertex_darts(root)))]
+        while stack:
+            v, in_dart, it = stack[-1]
+            advanced = False
+            for d in it:
+                if in_dart >= 0 and d == m.twin(in_dart):
+                    continue
+                w = m.head(d)
+                if disc[w] < 0:
+                    disc[w] = low[w] = timer
+                    timer += 1
+                    stack.append((w, d, iter(m.vertex_darts(w))))
+                    advanced = True
+                    break
+                low[v] = min(low[v], disc[w])
+            if not advanced:
+                stack.pop()
+                if stack:
+                    pv = stack[-1][0]
+                    low[pv] = min(low[pv], low[v])
+                    if low[v] > disc[pv]:
+                        bridges.append(m.edge_id(in_dart))
+    return bridges
+
+
+class TestRenumberedAsParsed:
+    @staticmethod
+    def renumbered(m):
+        return _renumbered_as_parsed(m._twin, m._origin, m._next, m.vertex_count)
+
+    @staticmethod
+    def arrays(m):
+        return m._twin, m._origin, m._next
+
+    def test_equals_the_parse_of_the_text_on_simple_maps(self):
+        for m in corpus(12):
+            for m2 in (m, m.mirrored()):
+                assert self.arrays(self.renumbered(m2)) == self.arrays(
+                    parse_map(serialize_map(m2)))
+
+    def test_differs_from_the_parse_on_some_multigraph(self):
+        # the parse pairs parallel darts by their place in the text
+        level = dict(_levels(6))[6]
+        differ = 0
+        for _, text in level:
+            m = parse_map(text, allow_parallel=True).mirrored()
+            parsed = parse_map(serialize_map(m), allow_parallel=True)
+            differ += self.arrays(self.renumbered(m)) != self.arrays(parsed)
+        assert differ
+
+    @pytest.mark.parametrize("rotation", [(0, 2, 1), (1, 1, 0)])
+    def test_refuses_a_rotation_that_is_no_single_cycle(self, k4, rotation):
+        assert k4.vertex_darts(0) == (0, 1, 2)
+        nxt = list(rotation) + list(k4._next[3:])
+        with pytest.raises(MalformedInput):
+            _renumbered_as_parsed(k4._twin, k4._origin, nxt, 4)
 
 
 class TestDeleteEdgeSuppress:
