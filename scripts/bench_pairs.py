@@ -11,7 +11,10 @@ line of every run is saved, in run order, to
 ``BENCH_<L>_<W>_parent.json`` and ``BENCH_<L>_<W>_change.json`` at the
 root of the working tree.  For each end-to-end metric the script prints
 both sides' median and quartiles, and in how many pairs the change read
-better, by the direction ``BENCHMARK.json`` gives.
+better, by the direction ``BENCHMARK.json`` gives.  It also reads the
+``digest <name> <hex>`` lines of every run, and names each output digest
+that is not the same in all runs of both sides.  It exits 1 when such a
+digest exists or a run was not correct, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import re
 import statistics
 import subprocess
 import sys
@@ -27,10 +31,34 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+DIGEST_LINE = re.compile(r"\s*digest (\S+)\s+([0-9a-f]+)(\s|$)")
 
 
-def run_bench(tree: Path, workload: str, seed: int, seconds: int) -> dict:
-    """One ``bench/run.py`` run in ``tree``; its final JSON line."""
+def digests(stdout: str) -> dict[str, str]:
+    """Name to value of the ``digest <name> <hex>`` lines of a run's output."""
+    return {m[1]: m[2] for m in map(DIGEST_LINE.match, stdout.splitlines()) if m}
+
+
+def differing(parent: list[dict], change: list[dict]) -> list[str]:
+    """Names of the digests not equal in every run of both sides, a
+    digest missing from some run included."""
+    runs = parent + change
+    names = sorted(set().union(*runs))
+    return [n for n in names if len({r.get(n) for r in runs}) != 1]
+
+
+def unpack(rev: str, into: str) -> None:
+    """Extract git revision ``rev`` of the checkout into ``into``."""
+    archive = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT,
+                             capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(into, filter="data")
+
+
+def run_bench(tree: Path, workload: str, seed: int,
+              seconds: int) -> tuple[dict, dict[str, str]]:
+    """One ``bench/run.py`` run in ``tree``: its final JSON line, and its
+    output digests."""
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
@@ -39,7 +67,7 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: int) -> dict:
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"bench/run.py failed in {tree} (exit {proc.returncode}):\n"
                            f"{proc.stderr.strip()}")
-    return json.loads(lines[-1])
+    return json.loads(lines[-1]), digests(proc.stdout)
 
 
 def summarize(parent: list[dict], change: list[dict],
@@ -76,18 +104,18 @@ def main() -> int:
     args = ap.parse_args()
     better = {m["name"]: m["better"]
               for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
-    archive = subprocess.run(["git", "archive", "--format=tar", args.base], cwd=ROOT,
-                             capture_output=True, check=True).stdout
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    outputs: dict[str, list[dict]] = {"parent": [], "change": []}
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
-        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-            tar.extractall(tmp, filter="data")
+        unpack(args.base, tmp)
         trees = {"parent": Path(tmp), "change": ROOT}
         for i in range(args.pairs):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
-                result = run_bench(trees[side], args.workload, args.seed, args.seconds)
+                result, digest = run_bench(trees[side], args.workload, args.seed,
+                                           args.seconds)
                 runs[side].append(result)
+                outputs[side].append(digest)
                 print(f"pair {i + 1} {side}: correct {result['correct']}, "
                       f"failed {result['failed']} of {result['attempted']}, "
                       + ", ".join(f"{k} {v['value']:.6g}"
@@ -102,7 +130,11 @@ def main() -> int:
         print(f"  {name:13s} parent {pm:.6g} ({pq1:.6g}–{pq3:.6g}) -> change {cm:.6g} "
               f"({cq1:.6g}–{cq3:.6g}) {s['unit']}; change better in "
               f"{s['wins']} of {s['pairs']} pairs")
-    return 0 if all(r["correct"] for side in runs.values() for r in side) else 1
+    bad = differing(outputs["parent"], outputs["change"])
+    print("output digests differ: " + ", ".join(bad) if bad
+          else f"output digests: {len(outputs['parent'][0])} the same in every run")
+    correct = all(r["correct"] for side in runs.values() for r in side)
+    return 0 if correct and not bad else 1
 
 
 if __name__ == "__main__":

@@ -6,7 +6,7 @@ import argparse
 from fractions import Fraction
 from pathlib import Path
 
-from tetracolor.coloring import find_tait_coloring
+from tetracolor.coloring import find_tait_coloring, from_bits
 from tetracolor.curves import CurveSet, PolyCurve, as_point, classify_regions
 from tetracolor.harness import GenConfig, generate
 from tetracolor.kempe import run_procedure
@@ -30,7 +30,8 @@ def main() -> int:
     dodeca = parse_map(DODECAHEDRON.read_text())
     tr = run_procedure(dodeca, 0)
     (out / "dodecahedron_contracted.svg").write_text(
-        render_map_svg(tr.contracted_map, tr.final_coloring, hub=tr.hub))
+        render_map_svg(tr.contracted_map, from_bits(tr.contracted_map, tr.final_coloring),
+                       hub=tr.hub))
 
     blue = CurveSet((PolyCurve.of([(0, 0), (4, 0), (4, 4), (0, 4)]),), "blue")
     yellow = CurveSet((PolyCurve.of([(2, 2), (6, 2), (6, 6), (2, 6)]),), "yellow")

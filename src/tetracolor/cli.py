@@ -124,8 +124,8 @@ def cmd_reduce(args) -> int:
         _write(args.trace, "".join(jsonl))
     if args.svg:
         tr = traces[0]
-        _write(args.svg, svgmod.render_map_svg(
-            tr.contracted_map, tr.final_coloring, hub=tr.hub))
+        ec = tr.final_coloring and col.from_bits(tr.contracted_map, tr.final_coloring)
+        _write(args.svg, svgmod.render_map_svg(tr.contracted_map, ec, hub=tr.hub))
     return 0 if ok else 1
 
 
@@ -148,6 +148,8 @@ def cmd_claim(args) -> int:
             if not pm.validate(m).all_ok:
                 raise har.HarnessError(
                     f"{path}: not a connected simple cubic bridgeless planar map")
+    elif args.n_max < 4:
+        raise har.OddOrder(f"--n-max {args.n_max}: no cubic map has fewer than 4 vertices")
     else:
         maps = har.corpus(args.n_max)
     ok = True

@@ -238,9 +238,26 @@ def find_face_4coloring(m: RotationMap) -> Optional[FaceColoring]:
     return FaceColoring({f: KLEIN_ORDER[c.bit_length() - 1] for f, c in enumerate(col)})
 
 
-# Tait search colors: one bit each, so the free color at a vertex whose other
-# two edges differ is 7 ^ (first | second); 0 marks an unset edge
+# Edge colors as bits in EDGE_ORDER, the form of the Tait search and the
+# reduction: a flat list by dart id, each edge's color at its edge id, 0 if
+# unset.  A pair is the | of its bits: c & pair tests membership, c ^ pair
+# swaps the two colors, and 7 ^ a ^ b is the third color next to a and b.
+BIT = {EdgeColor.BLUE: 1, EdgeColor.YELLOW: 2, EdgeColor.GREEN: 4}
+LETTER = {1: "B", 2: "Y", 4: "G"}
 _BIT_TO_EDGE = (None, EdgeColor.BLUE, EdgeColor.YELLOW, None, EdgeColor.GREEN)
+
+
+def to_bits(m: RotationMap, ec: EdgeColoring) -> list[int]:
+    """The flat bit form of an edge coloring of m."""
+    bits = [0] * m.dart_count
+    for e, c in ec.assignment.items():
+        bits[e] = BIT[c]
+    return bits
+
+
+def from_bits(m: RotationMap, bits: Sequence[int]) -> EdgeColoring:
+    """The EdgeColoring of a flat bit form, keyed in edge order."""
+    return EdgeColoring({e: _BIT_TO_EDGE[bits[e]] for e in m.edges()})
 
 
 def find_tait_coloring(m: RotationMap) -> Optional[EdgeColoring]:
@@ -298,7 +315,7 @@ def find_tait_coloring(m: RotationMap) -> Optional[EdgeColoring]:
     edges = m.edges()
     if not _backjump(edges, [4] * m.dart_count, clash, propagate, col, why):
         return None
-    return EdgeColoring({e: _BIT_TO_EDGE[col[e]] for e in edges})
+    return from_bits(m, col)
 
 
 # ---------------------------------------------------------------------------

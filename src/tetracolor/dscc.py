@@ -13,9 +13,10 @@ parity walking of the dual.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
-from .coloring import (EdgeColor, EdgeColoring, FaceColoring,
-                       _check_edge_domain, _dual_xor_walk)
+from .coloring import (DomainMismatch, EdgeColor, EdgeColoring, FaceColoring,
+                       _check_edge_domain, _dual_xor_walk, to_bits)
 from .planar_map import MapError, RotationMap
 
 
@@ -82,13 +83,14 @@ def check_even(m: RotationMap, edges: frozenset[int]) -> None:
 
 
 def split_subgraphs(m: RotationMap,
-                    ec: EdgeColoring) -> tuple[EvenSubgraph, EvenSubgraph]:
-    """Blue+Green and Yellow+Green edge sets, checked even at every vertex."""
-    _check_edge_domain(m, ec)
-    blue = frozenset(e for e, c in ec.assignment.items()
-                     if c in (EdgeColor.BLUE, EdgeColor.GREEN))
-    yellow = frozenset(e for e, c in ec.assignment.items()
-                       if c in (EdgeColor.YELLOW, EdgeColor.GREEN))
+                    bits: Sequence[int]) -> tuple[EvenSubgraph, EvenSubgraph]:
+    """Blue+Green and Yellow+Green edge sets of a coloring in bits (see
+    coloring.BIT), checked even at every vertex."""
+    edges = m.edges()
+    if len(bits) != m.dart_count or any(bits[e] not in (1, 2, 4) for e in edges):
+        raise DomainMismatch("edge coloring does not match the map's edges")
+    blue = frozenset(e for e in edges if bits[e] & 5)
+    yellow = frozenset(e for e in edges if bits[e] & 6)
     check_even(m, blue)
     check_even(m, yellow)
     return (EvenSubgraph(blue, EdgeColor.BLUE),
@@ -151,7 +153,8 @@ def trail_decompose(sub: EvenSubgraph, m: RotationMap) -> list[ClosedTrail]:
 
 def decompose(m: RotationMap, ec: EdgeColoring) -> DsccDecomposition:
     """Split and decompose in one step, flagging same-color trail touches."""
-    blue, yellow = split_subgraphs(m, ec)
+    _check_edge_domain(m, ec)
+    blue, yellow = split_subgraphs(m, to_bits(m, ec))
     bt = trail_decompose(blue, m)
     yt = trail_decompose(yellow, m)
     shared: set[int] = set()

@@ -607,14 +607,13 @@ def _judge_chain_existence(m: RotationMap, three_connected: bool,
         return {"pentagon": tr.pentagon, "skipped": "loop at hub"}, True, None
     ok = True
     checked = 0
-    for color in (EdgeColor.BLUE, EdgeColor.YELLOW):
-        pair = frozenset((color, EdgeColor.GREEN))
-        sub_edges = frozenset(e for e in cmap.edges() if ec[e] in pair)
-        hub_darts = [d for d in cmap.vertex_darts(hub) if ec[cmap.edge_id(d)] in pair]
+    for pair, tag in ((1 | 4, EdgeColor.BLUE), (2 | 4, EdgeColor.YELLOW)):
+        sub_edges = frozenset(e for e in cmap.edges() if ec[e] & pair)
+        hub_darts = [d for d in cmap.vertex_darts(hub) if ec[cmap.edge_id(d)] & pair]
         if len(hub_darts) not in (0, 2, 4):
             ok = False
             break
-        trails = trail_decompose(EvenSubgraph(sub_edges, color), cmap)
+        trails = trail_decompose(EvenSubgraph(sub_edges, tag), cmap)
         for t in trails:
             hub_t = [d for d in t.darts if cmap.origin(d) == hub]
             if len(hub_t) != 1 or not t.is_simple_cycle(cmap):

@@ -18,11 +18,13 @@ and inversions always flip one whole cycle.
 A sweep runs many reductions on one map, so the per-map work is done once
 by ``PreparedMap``: it validates the map, serializes its text, numbers it
 like the parse of that text and contracts each pentagon on first use, and
-every trace of that pentagon shares the one contracted map.  Inside the
-reduction loop the coloring is a flat list indexed by the contracted map's
-darts (each edge's color sits at its edge id), recolored in place; the
-chain and pattern helpers read it through ``ec[e]`` as they read an
-``EdgeColoring``, which is built only where a trace records a coloring.
+every trace of that pentagon shares the one contracted map.  Colorings
+here take the bit form of ``coloring.BIT``: a flat list by dart id, each
+edge's color at its edge id, Blue 1, Yellow 2, Green 4, and a color pair
+the | of its two bits, so one xor swaps a chain edge's color.  The loop
+recolors one list in place and a trace keeps its start and end as
+tuples; an ``EdgeColoring`` is built only for the restored map and for
+an anomaly's coloring text.
 """
 
 from __future__ import annotations
@@ -30,19 +32,14 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
-from .coloring import (EDGE_ORDER, EdgeColor, EdgeColoring, find_tait_coloring,
+from .coloring import (BIT, LETTER, EdgeColoring, find_tait_coloring, from_bits,
                        serialize_coloring, verify_coloring)
 from .dscc import split_subgraphs
 from .planar_map import (ContractionRecord, MapError, NotCubic, RotationMap,
                          contract_face, delete_edge_suppress, parse_map,
                          serialize_map, validate)
-
-
-# a coloring as the helpers read it: an EdgeColoring, or the reduction's
-# flat list holding each edge's color at its edge id
-Colors = Union[EdgeColoring, list]
 
 
 class KempeError(MapError):
@@ -79,18 +76,19 @@ class NoPentagon(KempeError):
 
 @dataclass(frozen=True)
 class KempeChain:
-    """A connected edge set drawn from two color classes."""
+    """A connected edge set drawn from two color classes, the | of their bits."""
 
-    color_pair: frozenset[EdgeColor]
+    color_pair: int
     edges: frozenset[int]
 
 
-def find_chain(m: RotationMap, ec: Colors, seed: int,
-               pair: frozenset[EdgeColor]) -> KempeChain:
+def find_chain(m: RotationMap, ec: Sequence[int], seed: int,
+               pair: int) -> KempeChain:
     """Maximal connected two-colored subgraph through the seed edge."""
     seed = m.edge_id(seed)
-    if ec[seed] not in pair:
-        raise SeedColorMismatch(f"seed edge {seed} is {ec[seed]}, not in {sorted(c.value for c in pair)}")
+    if not ec[seed] & pair:
+        raise SeedColorMismatch(f"seed edge {seed} is {LETTER.get(ec[seed], '-')}, "
+                                f"not in {_pair_str(pair)}")
     twin, origin, vertex_darts = m._twin, m._origin, m._vertex_darts
     seen = {seed}
     stack = [seed]
@@ -100,14 +98,14 @@ def find_chain(m: RotationMap, ec: Colors, seed: int,
             for d in vertex_darts[v]:
                 t = twin[d]
                 e2 = d if d < t else t
-                if e2 not in seen and ec[e2] in pair:
+                if e2 not in seen and ec[e2] & pair:
                     seen.add(e2)
                     stack.append(e2)
     return KempeChain(pair, frozenset(seen))
 
 
-def _pair_walk(m: RotationMap, ec: Colors, start_dart: int,
-               pair: frozenset[EdgeColor], stop_vertex: int
+def _pair_walk(m: RotationMap, ec: Sequence[int], start_dart: int,
+               pair: int, stop_vertex: int
                ) -> tuple[tuple[int, ...], int]:
     """Walk the two-colored subgraph from a hub dart until the hub returns.
 
@@ -128,7 +126,7 @@ def _pair_walk(m: RotationMap, ec: Colors, start_dart: int,
         for d2 in vertex_darts[w]:
             t2 = twin[d2]
             e2 = d2 if d2 < t2 else t2
-            if e2 != arrived and ec[e2] in pair:
+            if e2 != arrived and ec[e2] & pair:
                 if nxt is not None:
                     raise KempeError(f"vertex {w} is not properly 3-valent in the pair")
                 nxt = d2
@@ -138,36 +136,25 @@ def _pair_walk(m: RotationMap, ec: Colors, start_dart: int,
         d = nxt
 
 
-def cycle_through(m: RotationMap, ec: Colors, hub: int, hub_dart: int,
-                  pair: frozenset[EdgeColor]) -> KempeChain:
+def cycle_through(m: RotationMap, ec: Sequence[int], hub: int, hub_dart: int,
+                  pair: int) -> KempeChain:
     """The unique two-colored simple cycle through one hub dart."""
     walk, _end = _pair_walk(m, ec, hub_dart, pair, hub)
     return KempeChain(pair, frozenset(m.edge_id(d) for d in walk))
 
 
-def invert_chain(ec: EdgeColoring, chain: KempeChain) -> EdgeColoring:
-    """Swap the chain's two colors on exactly its edges.
+def invert_chain(ec: list[int], chain: KempeChain) -> None:
+    """Swap the chain's two colors on exactly its edges, in place.
 
     Every vertex that the chain passes properly (two pair-colored incident
     edges, both on the chain) stays proper; inverting twice restores the
-    input.
+    input.  Raises KempeError on a chain edge colored outside the pair.
     """
-    assignment = dict(ec.assignment)
-    _invert(assignment, chain)
-    return EdgeColoring(assignment)
-
-
-def _invert(colors, chain: KempeChain) -> None:
-    """invert_chain in place, on a dict or a flat list of colors."""
-    a, b = chain.color_pair
+    pair = chain.color_pair
     for e in chain.edges:
-        c = colors[e]
-        if c is a:
-            colors[e] = b
-        elif c is b:
-            colors[e] = a
-        else:
-            raise KempeError(f"chain edge {e} is {c}, outside the pair")
+        if not ec[e] & pair:
+            raise KempeError(f"chain edge {e} is {LETTER.get(ec[e], '-')}, outside the pair")
+        ec[e] ^= pair
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +163,7 @@ def _invert(colors, chain: KempeChain) -> None:
 
 @dataclass(frozen=True)
 class VertexPattern:
-    """Colors around the hub in clockwise rotation order.
+    """Color bits around the hub in clockwise rotation order.
 
     The even-parity laws force every legal pattern into a 3-1-1 color
     multiset, which pattern_at validates.  ``tbci`` is true when the three
@@ -187,14 +174,14 @@ class VertexPattern:
     """
 
     darts: tuple[int, ...]
-    cyclic_colors: tuple[EdgeColor, ...]
-    majority: EdgeColor
+    cyclic_colors: tuple[int, ...]
+    majority: int
     tbci: bool
     lone: Optional[int]
 
     @property
     def word(self) -> str:
-        return "".join(c.value for c in self.cyclic_colors)
+        return "".join([LETTER[c] for c in self.cyclic_colors])
 
 
 class TopologyClass(enum.Enum):
@@ -204,31 +191,28 @@ class TopologyClass(enum.Enum):
     T2P = "T2p"
 
 
-def pattern_at(m: RotationMap, ec: Colors, hub: int) -> VertexPattern:
-    """Read and validate the color pattern at a five-valent hub."""
+def pattern_at(m: RotationMap, ec: Sequence[int], hub: int) -> VertexPattern:
+    """Read and validate the color pattern at a five-valent hub; an
+    uncolored hub edge breaks the pattern like a parity violation."""
     darts = m.vertex_darts(hub)
     if len(darts) != 5:
         raise DegreeMismatch(f"hub degree is {len(darts)}, want 5")
     colors = tuple(ec[m.edge_id(d)] for d in darts)
-    counts = {c: 0 for c in EDGE_ORDER}
-    for c in colors:
-        counts[c] += 1
-    blue_green = counts[EdgeColor.BLUE] + counts[EdgeColor.GREEN]
-    yellow_green = counts[EdgeColor.YELLOW] + counts[EdgeColor.GREEN]
-    if blue_green % 2 or yellow_green % 2:
+    blue, yellow, green = (colors.count(c) for c in (1, 2, 4))
+    if blue + yellow + green != 5 or (blue + green) % 2 or (yellow + green) % 2:
         raise PatternNotAllowed(
-            f"hub parity violated: word {''.join(c.value for c in colors)}")
-    majority = max(counts, key=lambda c: counts[c])
+            f"hub parity violated: word {''.join(LETTER.get(c, '-') for c in colors)}")
     # parity forces all three counts odd, hence 3-1-1: a < b are the two
     # positions the majority does not hold
-    a, b = (i for i, c in enumerate(colors) if c is not majority)
+    majority = 1 if blue == 3 else 2 if yellow == 3 else 4
+    a, b = (i for i, c in enumerate(colors) if c != majority)
     tbci = b - a in (1, 4)
     lone = None if tbci else (a + 1 if b - a == 2 else (b + 1) % 5)
     return VertexPattern(darts=darts, cyclic_colors=colors, majority=majority,
                          tbci=tbci, lone=lone)
 
 
-def classify_topology(m: RotationMap, ec: Colors, hub: int,
+def classify_topology(m: RotationMap, ec: Sequence[int], hub: int,
                       pattern: Optional[VertexPattern] = None) -> TopologyClass:
     """How the majority curve's two hub passages pair the four hub darts.
 
@@ -253,16 +237,15 @@ def classify_topology(m: RotationMap, ec: Colors, hub: int,
     majority = pattern.majority
     if pattern.tbci:
         raise PreconditionPattern("pattern is tbci; nothing to classify")
-    if majority == EdgeColor.GREEN:
+    if majority == 4:
         raise PreconditionPattern("green majority must be normalized away first")
     if any(m.head(d) == hub for d in pattern.darts):
         raise PreconditionPattern("loop at the hub")
     darts, lone = pattern.darts, pattern.lone
-    g = pattern.cyclic_colors.index(EdgeColor.GREEN)
+    g = pattern.cyclic_colors.index(4)
     # green sits next to the lone dart, clockwise unless mirrored
     mirrored = g != (lone + 1) % 5
-    pair = frozenset((majority, EdgeColor.GREEN))
-    _walk, end = _pair_walk(m, ec, darts[g], pair, hub)
+    _walk, end = _pair_walk(m, ec, darts[g], majority | 4, hub)
     if end == darts[lone]:
         return TopologyClass.T2P if mirrored else TopologyClass.T2
     if end == darts[(lone - 2 if mirrored else lone + 2) % 5]:
@@ -275,13 +258,7 @@ def classify_topology(m: RotationMap, ec: Colors, hub: int,
 # pentagon expansion
 # ---------------------------------------------------------------------------
 
-# the third edge color at a proper vertex holding the other two; a pair
-# with a repeated color has none
-_THIRD = {(a, b): c for a in EDGE_ORDER for b in EDGE_ORDER for c in EDGE_ORDER
-          if len({a, b, c}) == 3}
-
-
-def expand_vertex(m: RotationMap, ec: Colors, record: ContractionRecord
+def expand_vertex(m: RotationMap, ec: Sequence[int], record: ContractionRecord
                   ) -> Optional[tuple[RotationMap, EdgeColoring]]:
     """Restore the contracted pentagon and extend the coloring onto it.
 
@@ -289,16 +266,17 @@ def expand_vertex(m: RotationMap, ec: Colors, record: ContractionRecord
     that survived the contraction keeps its color.  At each boundary
     vertex the two walk edges take the two colors its off-walk edge
     lacks, so the first walk edge's color forces all the others; the
-    colors are tried in EDGE_ORDER and the first walk that closes is
-    kept, the least extension in walk order.  Returns None when no
-    extension exists, which is exactly the non-tbci situation.  Raises
-    NotCubic when a boundary vertex has other than one off-walk edge.
+    colors are tried in bit order, which is EDGE_ORDER, and the first
+    walk that closes is kept, the least extension in walk order.  Returns
+    None when no extension exists, which is exactly the non-tbci
+    situation.  Raises NotCubic when a boundary vertex has other than one
+    off-walk edge.
     """
     if m.degree(record.hub) != 5:
         raise DegreeMismatch(f"hub degree is {m.degree(record.hub)}, want 5")
     parent = record.parent
 
-    colors: dict[int, EdgeColor] = {}
+    colors = [0] * parent.dart_count
     for child_edge, parent_edge in record.edge_map.items():
         colors[parent_edge] = ec[child_edge]
     # walk edge i leaves boundary vertex i; spokes[i] is the color of
@@ -313,17 +291,19 @@ def expand_vertex(m: RotationMap, ec: Colors, record: ContractionRecord
         spokes.append(colors[off[0]])
 
     # round vertices 1..4 and back to 0: the walk closes when vertex 0
-    # forces the first color again (a clash forces None from then on)
-    for first in EDGE_ORDER:
+    # forces the first color again (a clash forces 0 from then on)
+    for first in (1, 2, 4):
         forced = [first]
         for spoke in spokes[1:] + spokes[:1]:
-            forced.append(_THIRD.get((spoke, forced[-1])))
-        if forced[-1] is first:
+            prev = forced[-1]
+            forced.append(7 ^ spoke ^ prev if prev and prev != spoke else 0)
+        if forced[-1] == first:
             break
     else:
         return None
-    colors.update(zip(walk, forced))
-    full = EdgeColoring(dict(sorted(colors.items())))
+    for e, c in zip(walk, forced):
+        colors[e] = c
+    full = from_bits(parent, colors)
     if verify_coloring(parent, full):
         return None  # extension claimed proper but is not; treat as absent
     return parent, full
@@ -399,7 +379,8 @@ ANOMALY_PATTERN = "pattern-not-allowed"
 
 @dataclass(frozen=True)
 class ReductionTrace:
-    """Replayable record of one pentagon reduction attempt."""
+    """Replayable record of one pentagon reduction attempt; the colorings
+    are bit tuples of the contracted map, ``result`` an EdgeColoring."""
 
     map_text: str
     pentagon: int
@@ -408,8 +389,8 @@ class ReductionTrace:
     events: tuple[TraceEvent, ...]
     contracted_map: Optional[RotationMap] = field(default=None, compare=False)
     hub: Optional[int] = field(default=None, compare=False)
-    initial_coloring: Optional[EdgeColoring] = field(default=None, compare=False)
-    final_coloring: Optional[EdgeColoring] = field(default=None, compare=False)
+    initial_coloring: Optional[tuple[int, ...]] = field(default=None, compare=False)
+    final_coloring: Optional[tuple[int, ...]] = field(default=None, compare=False)
     result: Optional[tuple[RotationMap, EdgeColoring]] = field(default=None, compare=False)
 
     @property
@@ -454,11 +435,12 @@ class ReductionTrace:
 # the reduction procedure
 # ---------------------------------------------------------------------------
 
-_PAIR_BY = frozenset((EdgeColor.BLUE, EdgeColor.YELLOW))
+_PAIR_BY = 1 | 2
+_LETTER_BIT = {letter: bit for bit, letter in LETTER.items()}
 
 
-def _word(m: RotationMap, ec: Colors, hub: int) -> str:
-    return "".join(ec[m.edge_id(d)].value for d in m.vertex_darts(hub))
+def _word(m: RotationMap, ec: Sequence[int], hub: int) -> str:
+    return "".join([LETTER[ec[m.edge_id(d)]] for d in m.vertex_darts(hub)])
 
 
 class PreparedMap:
@@ -557,26 +539,21 @@ def run_procedure(n_map: Union[RotationMap, PreparedMap], pentagon: int,
 
     # pull the smaller map's coloring onto the contracted map: each
     # contracted edge has an original edge, which a smaller-map edge carries
-    edges = cmap.edges()
-    ec = [None] * cmap.dart_count
+    ec = [0] * cmap.dart_count
     for child_edge, parent_edge in record.edge_map.items():
-        ec[child_edge] = ec_small.assignment[small_edges[parent_edge]]
+        ec[child_edge] = BIT[ec_small.assignment[small_edges[parent_edge]]]
+    initial = tuple(ec)
     phase = 0          # counts non-tbci blue-yellow inversions (L1 then L2)
     last_kind: Optional[str] = None
 
-    def coloring() -> EdgeColoring:
-        return EdgeColoring({e: ec[e] for e in edges})
-
-    initial = coloring()
-
     def snapshot() -> dict:
         return {"word": _word(cmap, ec, hub),
-                "coloring": serialize_coloring(cmap, coloring()),
+                "coloring": serialize_coloring(cmap, from_bits(cmap, ec)),
                 "phase": phase}
 
     def finish(result=None) -> ReductionTrace:
         return ReductionTrace(events=tuple(events), initial_coloring=initial,
-                              final_coloring=coloring(), result=result,
+                              final_coloring=tuple(ec), result=result,
                               **trace_args)
 
     pattern: Optional[VertexPattern] = None   # the hub pattern of ec, once read
@@ -588,7 +565,7 @@ def run_procedure(n_map: Union[RotationMap, PreparedMap], pentagon: int,
                 events.append(Anomaly(ANOMALY_PATTERN, {"error": str(exc), **snapshot()}))
                 return finish()
         events.append(Pattern(word=pattern.word, tbci=pattern.tbci,
-                              majority=pattern.majority.value))
+                              majority=LETTER[pattern.majority]))
 
         if pattern.tbci:
             result = expand_vertex(cmap, ec, record)
@@ -603,15 +580,16 @@ def run_procedure(n_map: Union[RotationMap, PreparedMap], pentagon: int,
             events.append(Anomaly(ANOMALY_CHORDED_PENTAGON, snapshot()))
             return finish()
 
-        if pattern.majority == EdgeColor.GREEN:
+        if pattern.majority == 4:
             # swap green with the singleton clockwise after the lone dart, the
             # global recoloring that makes the majority a plain curve color
             cw_color = pattern.cyclic_colors[(pattern.lone + 1) % 5]
-            perm = {EdgeColor.GREEN: cw_color, cw_color: EdgeColor.GREEN}
-            for e in edges:
-                ec[e] = perm.get(ec[e], ec[e])
-            events.append(Normalized(permutation=tuple(sorted(
-                (a.value, b.value) for a, b in perm.items()))))
+            swap = 4 | cw_color
+            for e, c in enumerate(ec):
+                if c & swap:
+                    ec[e] = c ^ swap
+            w = LETTER[cw_color]
+            events.append(Normalized(permutation=tuple(sorted(((w, "G"), ("G", w))))))
             pattern = None
             continue
 
@@ -629,13 +607,13 @@ def run_procedure(n_map: Union[RotationMap, PreparedMap], pentagon: int,
         if topo in (TopologyClass.T2, TopologyClass.T2P):
             # the passage cycle through the green dart also holds the lone
             # majority dart here; inverting it must force tbci
-            pair = frozenset((pattern.majority, EdgeColor.GREEN))
-            green_dart = pattern.darts[pattern.cyclic_colors.index(EdgeColor.GREEN)]
+            pair = pattern.majority | 4
+            green_dart = pattern.darts[pattern.cyclic_colors.index(4)]
             cycle = cycle_through(cmap, ec, hub, green_dart, pair)
-            _invert(ec, cycle)
+            invert_chain(ec, cycle)
             after = pattern_at(cmap, ec, hub)
             if not after.tbci:
-                _invert(ec, cycle)   # the anomaly reports the state before
+                invert_chain(ec, cycle)   # the anomaly reports the state before
                 events.append(Anomaly(ANOMALY_CHAIN_INEFFECTIVE, snapshot()))
                 return finish()
             pattern = after
@@ -653,9 +631,9 @@ def run_procedure(n_map: Union[RotationMap, PreparedMap], pentagon: int,
             seed = pattern.darts[pattern.lone]
         else:
             seed = next(d for d, c in zip(pattern.darts, pattern.cyclic_colors)
-                        if c is not pattern.majority and c is not EdgeColor.GREEN)
+                        if c != pattern.majority and c != 4)
         cycle = cycle_through(cmap, ec, hub, seed, _PAIR_BY)
-        _invert(ec, cycle)
+        invert_chain(ec, cycle)
         pattern = pattern_at(cmap, ec, hub)
         if pattern.tbci:
             kind = "auxiliary"
@@ -671,8 +649,9 @@ def run_procedure(n_map: Union[RotationMap, PreparedMap], pentagon: int,
     return finish()
 
 
-def _pair_str(pair: frozenset[EdgeColor]) -> str:
-    return "".join(c.value for c in sorted(pair, key=lambda c: c.value))
+def _pair_str(pair: int) -> str:
+    """The pair's letters in alphabetical order: "BG", "BY" or "GY"."""
+    return "".join(sorted(LETTER[c] for c in (1, 2, 4) if c & pair))
 
 
 def replay_inversions(trace: ReductionTrace) -> bool:
@@ -686,7 +665,7 @@ def replay_inversions(trace: ReductionTrace) -> bool:
     """
     if trace.initial_coloring is None or trace.contracted_map is None:
         return True
-    ec = trace.initial_coloring
+    ec = list(trace.initial_coloring)
     m, hub = trace.contracted_map, trace.hub
     # the edge ids at every 3-valent vertex other than the hub
     corners = [tuple(m.edge_id(d) for d in darts)
@@ -694,22 +673,20 @@ def replay_inversions(trace: ReductionTrace) -> bool:
                if v != hub and len(darts) == 3]
     for ev in trace.events:
         if isinstance(ev, Normalized):
-            perm = {EdgeColor.parse(a): EdgeColor.parse(b)
-                    for a, b in ev.permutation}
-            ec = EdgeColoring({e: perm.get(c, c) for e, c in ec.assignment.items()})
+            perm = {_LETTER_BIT[a]: _LETTER_BIT[b] for a, b in ev.permutation}
+            ec = [perm.get(c, c) for c in ec]
         elif isinstance(ev, Inverted):
-            pair = frozenset(EdgeColor.parse(ch) for ch in ev.pair)
-            ec = invert_chain(ec, KempeChain(pair, frozenset(ev.edges)))
+            pair = _LETTER_BIT[ev.pair[0]] | _LETTER_BIT[ev.pair[1]]
+            invert_chain(ec, KempeChain(pair, frozenset(ev.edges)))
         else:
             continue
         try:
             split_subgraphs(m, ec)
         except MapError:
             return False
-        colors = ec.assignment
-        if any(len({colors[e] for e in corner}) != 3 for corner in corners):
+        if any(ec[a] | ec[b] | ec[c] != 7 for a, b, c in corners):
             return False
-    return ec == trace.final_coloring
+    return tuple(ec) == trace.final_coloring
 
 
 def replay_trace(n_map: RotationMap, trace: ReductionTrace) -> bool:

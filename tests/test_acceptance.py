@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from tetracolor.coloring import (EDGE_ORDER, EdgeColor, edge3_to_face4,
                                  face4_to_edge3, find_face_4coloring,
-                                 find_tait_coloring, verify_coloring)
+                                 find_tait_coloring, to_bits, verify_coloring)
 from tetracolor.curves import (CurveSet, PointOnCurve, PolyCurve, as_point,
                                dwn, winding_number)
 from tetracolor.dscc import dscc_to_face4, split_subgraphs
@@ -55,7 +55,7 @@ def test_criterion_2_coloring_round_trips(corpus16):
         tait = find_tait_coloring(m)
         if face4_to_edge3(m, edge3_to_face4(m, tait)) != tait:
             violations += 1
-        blue, yellow = split_subgraphs(m, ec)
+        blue, yellow = split_subgraphs(m, to_bits(m, ec))
         if dscc_to_face4(m, blue, yellow) != fc:
             violations += 1
     elapsed = time.monotonic() - t0

@@ -185,6 +185,15 @@ def test_claim_text(capsys):
     assert "no counterexample" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("n_max", ["3", "-2"])
+def test_claim_refuses_a_corpus_with_no_order(capsys, n_max):
+    # no cubic map has fewer than four vertices, so the sweep would be vacuous
+    assert main(["claim", "C1", "--n-max", n_max]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and "--n-max" in captured.err
+
+
 def test_claim_csv(capsys):
     assert main(["claim", "C2", "--n-max", "8", "--format", "csv"]) == 0
     out = capsys.readouterr().out

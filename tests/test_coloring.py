@@ -4,14 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tetracolor.coloring import (EDGE_ORDER, KLEIN_ORDER, ColoringError,
-                                 DomainMismatch, EdgeColor, EdgeColoring,
-                                 FaceColoring, ImproperColoring,
+from tetracolor.coloring import (BIT, EDGE_ORDER, KLEIN_ORDER, LETTER,
+                                 ColoringError, DomainMismatch, EdgeColor,
+                                 EdgeColoring, FaceColoring, ImproperColoring,
                                  ImproperEdgeColoring, KleinColor,
                                  edge3_to_face4, face4_to_edge3,
                                  find_face_4coloring, find_tait_coloring,
-                                 parse_coloring, serialize_coloring,
-                                 verify_coloring)
+                                 from_bits, parse_coloring, serialize_coloring,
+                                 to_bits, verify_coloring)
 from tetracolor.harness import GenConfig, generate
 from tetracolor.planar_map import (NotCubic, RotationMap, find_bridges,
                                    from_neighbor_lists, parse_map)
@@ -303,6 +303,40 @@ class TestTaitColoring:
 
     def test_deterministic(self, prism):
         assert find_tait_coloring(prism) == find_tait_coloring(prism)
+
+
+class TestColorBits:
+    def test_every_ordered_pair_agrees_with_the_members(self):
+        # membership, the swap of an inversion and the third color at a
+        # vertex, each against the same rule on EdgeColor members
+        for a, b in itertools.product(EDGE_ORDER, repeat=2):
+            pair = BIT[a] | BIT[b]
+            for c in EDGE_ORDER:
+                assert bool(BIT[c] & pair) == (c in (a, b))
+                if a is not b:
+                    swapped = b if c is a else a if c is b else c
+                    assert (BIT[c] ^ pair if BIT[c] & pair else BIT[c]) == BIT[swapped]
+            third = [c for c in EDGE_ORDER if c not in (a, b)]
+            if a is b:
+                # 7 ^ a ^ a is no color: a clash must be guarded, not xored
+                assert 7 ^ BIT[a] ^ BIT[b] not in LETTER
+            else:
+                assert 7 ^ BIT[a] ^ BIT[b] == BIT[third[0]]
+
+    def test_bits_letters_and_order(self):
+        assert [BIT[c] for c in EDGE_ORDER] == [1, 2, 4]
+        assert all(LETTER[BIT[c]] == c.value for c in EDGE_ORDER)
+
+    def test_round_trip_on_corpus12_both_orientations(self, corpus12):
+        for m in corpus12:
+            for v in (m, m.mirrored()):
+                ec = find_tait_coloring(v)
+                bits = to_bits(v, ec)
+                assert len(bits) == v.dart_count
+                assert all(bits[d] == 0 for d in range(v.dart_count) if d > v.twin(d))
+                back = from_bits(v, bits)
+                assert back == ec
+                assert list(back.assignment) == list(ec.assignment)
 
 
 class TestConversions:

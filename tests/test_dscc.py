@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tetracolor.coloring import (EdgeColor, EdgeColoring, face4_to_edge3,
-                                 find_face_4coloring, find_tait_coloring,
-                                 serialize_coloring, verify_coloring)
+from tetracolor.coloring import (DomainMismatch, EdgeColor, EdgeColoring,
+                                 face4_to_edge3, find_face_4coloring,
+                                 find_tait_coloring, serialize_coloring, to_bits,
+                                 verify_coloring)
 from tetracolor.dscc import (CoverageGap, EvenSubgraph,
                              ParityViolation, check_even, decompose, dscc_to_face4,
                              serialize_decomposition, split_subgraphs,
@@ -18,6 +19,10 @@ from tetracolor.kempe import run_procedure
 def degree(m, sub, v):
     """Darts at v whose edge lies in the subgraph."""
     return sum(1 for d in m.vertex_darts(v) if m.edge_id(d) in sub.edges)
+
+
+def tait_bits(m):
+    return to_bits(m, find_tait_coloring(m))
 
 
 def edge_ids(m, trail):
@@ -42,39 +47,37 @@ class TestSplit:
     def test_fig_map_blue_subgraph_is_two_regular(self, fig_map):
         ec = fig_coloring(fig_map)
         assert verify_coloring(fig_map, ec) == []
-        blue, yellow = split_subgraphs(fig_map, ec)
+        blue, yellow = split_subgraphs(fig_map, to_bits(fig_map, ec))
         assert len(blue.edges) == 6 and len(yellow.edges) == 6
         for v in range(6):
             assert degree(fig_map, blue, v) == 2
             assert degree(fig_map, yellow, v) == 2
 
     def test_k4_split_is_union_of_two_matchings(self, k4):
-        ec = find_tait_coloring(k4)
-        blue, yellow = split_subgraphs(k4, ec)
+        blue, yellow = split_subgraphs(k4, tait_bits(k4))
         assert len(blue.edges) == 4
         assert all(degree(k4, blue, v) == 2 for v in range(4))
 
     def test_parity_violation_names_vertex(self, k4):
-        ec = find_tait_coloring(k4)
-        broken = dict(ec.assignment)
+        broken = tait_bits(k4)
         # recolor the blue edge at vertex 0: it then sees one green and no
         # blue, an odd blue-green count
-        broken[k4.find_edge(0, 1)] = EdgeColor.YELLOW
+        broken[k4.find_edge(0, 1)] = 2
         with pytest.raises(ParityViolation) as exc:
-            split_subgraphs(k4, EdgeColoring(broken))
+            split_subgraphs(k4, broken)
         assert exc.value.vertex in (0, 1)
 
     def test_parity_violation_is_the_least_odd_vertex(self, dodecahedron):
         # two blue edges turned yellow leave 14, 17, 18 and 19 odd in both
         # subgraphs; the blue check comes first and names the least of them
         m = dodecahedron
-        broken = dict(find_tait_coloring(m).assignment)
+        broken = tait_bits(m)
         for u, v in ((17, 18), (14, 19)):
             e = m.find_edge(u, v)
-            assert broken[e] is EdgeColor.BLUE
-            broken[e] = EdgeColor.YELLOW
+            assert broken[e] == 1
+            broken[e] = 2
         with pytest.raises(ParityViolation) as exc:
-            split_subgraphs(m, EdgeColoring(broken))
+            split_subgraphs(m, broken)
         assert exc.value.vertex == 14
         assert str(exc.value) == "odd subgraph degree at vertex 14"
 
@@ -100,16 +103,21 @@ class TestSplit:
         assert exc.value.vertex == 0
 
     def test_green_edges_in_both(self, prism):
-        ec = find_tait_coloring(prism)
+        ec = tait_bits(prism)
         blue, yellow = split_subgraphs(prism, ec)
         for e in prism.edges():
-            if ec[e] is EdgeColor.GREEN:
+            if ec[e] == 4:
                 assert e in blue.edges and e in yellow.edges
+
+    def test_an_uncolored_edge_or_a_short_list_is_refused(self, k4):
+        for broken in (tait_bits(k4)[:-1], [0] + tait_bits(k4)[1:]):
+            with pytest.raises(DomainMismatch):
+                split_subgraphs(k4, broken)
 
 
 class TestTrailDecompose:
     def test_two_regular_gives_component_cycles(self, fig_map):
-        blue, _ = split_subgraphs(fig_map, fig_coloring(fig_map))
+        blue, _ = split_subgraphs(fig_map, to_bits(fig_map, fig_coloring(fig_map)))
         trails = trail_decompose(blue, fig_map)
         assert len(trails) == 1  # a single closed curve through all six vertices
         assert trails[0].is_simple_cycle(fig_map)
@@ -119,8 +127,7 @@ class TestTrailDecompose:
         assert trail_decompose(EvenSubgraph(frozenset(), EdgeColor.BLUE), k4) == []
 
     def test_edges_partitioned(self, dodecahedron):
-        ec = find_tait_coloring(dodecahedron)
-        for sub in split_subgraphs(dodecahedron, ec):
+        for sub in split_subgraphs(dodecahedron, tait_bits(dodecahedron)):
             trails = trail_decompose(sub, dodecahedron)
             seen = set()
             for t in trails:
@@ -133,12 +140,13 @@ class TestTrailDecompose:
         # a contracted map carries a degree-4 vertex inside the majority curve
         tr = run_procedure(dodecahedron, 0)
         cmap, hub, ec = tr.contracted_map, tr.hub, tr.initial_coloring
-        for color in (EdgeColor.BLUE, EdgeColor.YELLOW):
-            pair = {color, EdgeColor.GREEN}
-            edges = frozenset(e for e in cmap.edges() if ec[e] in pair)
-            sub = EvenSubgraph(edges, color)
+        passed_twice = 0
+        for pair, tag in ((1 | 4, EdgeColor.BLUE), (2 | 4, EdgeColor.YELLOW)):
+            edges = frozenset(e for e in cmap.edges() if ec[e] & pair)
+            sub = EvenSubgraph(edges, tag)
             if degree(cmap, sub, hub) != 4:
                 continue
+            passed_twice += 1
             trails = trail_decompose(sub, cmap)
             hub_visits = sum(t.vertices(cmap).count(hub) for t in trails)
             assert hub_visits == 2
@@ -146,12 +154,12 @@ class TestTrailDecompose:
             for t in trails:
                 covered |= edge_ids(cmap, t)
             assert covered == edges
+        assert passed_twice >= 1   # both subgraphs when green is the majority
 
     def test_noncrossing_pairing_at_shared_vertices(self, dodecahedron):
         # at every vertex, the dart couples used by trails must be
         # rotation-adjacent among the subgraph darts (nested, not crossing)
-        ec = find_tait_coloring(dodecahedron)
-        blue, _ = split_subgraphs(dodecahedron, ec)
+        blue, _ = split_subgraphs(dodecahedron, tait_bits(dodecahedron))
         trails = trail_decompose(blue, dodecahedron)
         m = dodecahedron
         couples = {}
@@ -176,7 +184,7 @@ class TestTrailDecompose:
 class TestDsccToFace4:
     def test_fig_map_colors(self, fig_map):
         ec = fig_coloring(fig_map)
-        blue, yellow = split_subgraphs(fig_map, ec)
+        blue, yellow = split_subgraphs(fig_map, to_bits(fig_map, ec))
         fc = dscc_to_face4(fig_map, blue, yellow)
         assert fc[0].value == 0
         assert verify_coloring(fig_map, fc) == []
@@ -199,7 +207,7 @@ class TestDsccToFace4:
         for n in (4, 6, 8, 10):
             for m in generate(GenConfig(n)):
                 fc = find_face_4coloring(m)
-                blue, yellow = split_subgraphs(m, face4_to_edge3(m, fc))
+                blue, yellow = split_subgraphs(m, to_bits(m, face4_to_edge3(m, fc)))
                 assert dscc_to_face4(m, blue, yellow) == fc
 
 
@@ -232,8 +240,7 @@ def test_face_route_and_trails_pinned_on_corpus12(corpus12):
 @given(seed=st.integers(0, 10_000))
 def test_split_even_and_covering_on_random_maps(seed):
     (m,) = generate(GenConfig(12, mode="random", count=1, seed=seed))
-    ec = find_tait_coloring(m)
-    blue, yellow = split_subgraphs(m, ec)
+    blue, yellow = split_subgraphs(m, tait_bits(m))
     for v in range(m.vertex_count):
         assert degree(m, blue, v) % 2 == 0
         assert degree(m, yellow, v) % 2 == 0

@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tetracolor import harness, kempe
-from tetracolor.coloring import (EDGE_ORDER, EdgeColor, EdgeColoring,
-                                 find_tait_coloring, verify_coloring)
+from tetracolor.coloring import (BIT, EDGE_ORDER, EdgeColoring,
+                                 find_tait_coloring, from_bits, to_bits,
+                                 verify_coloring)
 from tetracolor.harness import GenConfig, generate
 from tetracolor.kempe import (ANOMALY_TOPOLOGY_RECURRENCE,
                               Contracted, DegreeMismatch, Inverted,
@@ -17,14 +18,19 @@ from tetracolor.kempe import (ANOMALY_TOPOLOGY_RECURRENCE,
                               Pattern, PatternNotAllowed, PreconditionPattern,
                               PreparedMap, SeedColorMismatch, Topology,
                               TopologyClass, UnclassifiedTopology,
-                              classify_topology, cycle_through,
-                              expand_vertex, find_chain, invert_chain,
-                              pattern_at, replay_inversions, replay_trace,
-                              run_procedure)
+                              classify_topology, expand_vertex, find_chain,
+                              invert_chain, pattern_at, replay_inversions,
+                              replay_trace, run_procedure)
 from tetracolor.planar_map import NotCubic, contract_face, parse_map, serialize_map
 
-BY = frozenset((EdgeColor.BLUE, EdgeColor.YELLOW))
-BG = frozenset((EdgeColor.BLUE, EdgeColor.GREEN))
+B, Y, G = (BIT[c] for c in EDGE_ORDER)
+BY, BG, GY = B | Y, B | G, G | Y
+BIT_OF_LETTER = {c.value: BIT[c] for c in EDGE_ORDER}
+MEMBER = {BIT[c]: c for c in EDGE_ORDER}
+
+
+def tait_bits(m):
+    return to_bits(m, find_tait_coloring(m))
 
 
 def degrees(m, chain):
@@ -39,7 +45,7 @@ def branch_vertices(m, chain):
 
 def hub_pairing(m, ec, hub, pair):
     """How the hub darts of the two-colored subgraph pair up via walks."""
-    darts = [d for d in m.vertex_darts(hub) if ec[m.edge_id(d)] in pair]
+    darts = [d for d in m.vertex_darts(hub) if ec[m.edge_id(d)] & pair]
     partner = {}
     for d in darts:
         if d in partner:
@@ -59,16 +65,16 @@ def reference_topology(m, ec, hub):
     colors = pattern.cyclic_colors
     if pattern.tbci:
         raise PreconditionPattern("pattern is tbci; nothing to classify")
-    if pattern.majority == EdgeColor.GREEN:
+    if pattern.majority == G:
         raise PreconditionPattern("green majority must be normalized away first")
     if any(m.head(d) == hub for d in pattern.darts):
         raise PreconditionPattern("loop at the hub")
-    pair = frozenset((pattern.majority, EdgeColor.GREEN))
-    curve_darts = [d for d, c in zip(pattern.darts, colors) if c in pair]
+    pair = pattern.majority | G
+    curve_darts = [d for d, c in zip(pattern.darts, colors) if c & pair]
     i = reference_lone_index(colors, pattern.majority)
     lone = pattern.darts[i]
-    green = pattern.darts[colors.index(EdgeColor.GREEN)]
-    mirrored = colors[(i + 1) % 5] is not EdgeColor.GREEN
+    green = pattern.darts[colors.index(G)]
+    mirrored = colors[(i + 1) % 5] != G
     partner = hub_pairing(m, ec, hub, pair)
     k = curve_darts.index(lone)
     p = curve_darts[k:] + curve_darts[:k]  # cyclic order from the lone dart
@@ -82,26 +88,26 @@ def reference_topology(m, ec, hub):
 
 class TestFindChain:
     def test_k4_blue_yellow_is_alternating_four_cycle(self, k4):
-        ec = find_tait_coloring(k4)
-        seed = next(e for e in k4.edges() if ec[e] is EdgeColor.BLUE)
+        ec = tait_bits(k4)
+        seed = next(e for e in k4.edges() if ec[e] == B)
         chain = find_chain(k4, ec, seed, BY)
         assert len(chain.edges) == 4
         assert set(degrees(k4, chain).values()) == {2}
-        assert {ec[e] for e in chain.edges} == set(BY)
+        assert {ec[e] for e in chain.edges} == {B, Y}
 
     def test_seed_color_mismatch(self, k4):
-        ec = find_tait_coloring(k4)
-        green = next(e for e in k4.edges() if ec[e] is EdgeColor.GREEN)
-        with pytest.raises(SeedColorMismatch):
+        ec = tait_bits(k4)
+        green = next(e for e in k4.edges() if ec[e] == G)
+        with pytest.raises(SeedColorMismatch, match="is G, not in BY"):
             find_chain(k4, ec, green, BY)
 
     def test_chain_through_hub_reports_branching(self, dodecahedron):
         tr = run_procedure(dodecahedron, 0)
         cmap, hub, ec = tr.contracted_map, tr.hub, tr.initial_coloring
         pat = pattern_at(cmap, ec, hub)
-        pair = frozenset((pat.majority, EdgeColor.GREEN))
+        pair = pat.majority | G
         seed = next(cmap.edge_id(d) for d in pat.darts
-                    if ec[cmap.edge_id(d)] in pair)
+                    if ec[cmap.edge_id(d)] & pair)
         chain = find_chain(cmap, ec, seed, pair)
         assert branch_vertices(cmap, chain) == (hub,)
         assert set(degrees(cmap, chain).values()) != {2}
@@ -109,17 +115,26 @@ class TestFindChain:
 
 class TestInvert:
     def test_double_inversion_is_identity(self, k4):
-        ec = find_tait_coloring(k4)
+        ec = tait_bits(k4)
+        start = list(ec)
         chain = find_chain(k4, ec, k4.edges()[0], BY)
-        assert invert_chain(invert_chain(ec, chain), chain) == ec
+        invert_chain(ec, chain)
+        assert ec != start
+        invert_chain(ec, chain)
+        assert ec == start
 
     def test_k4_cycle_inversion_stays_proper(self, k4):
-        ec = find_tait_coloring(k4)
-        chain = find_chain(k4, ec, k4.edges()[0], BY)
-        flipped = invert_chain(ec, chain)
-        assert verify_coloring(k4, flipped) == []
-        greens = {e for e in k4.edges() if ec[e] is EdgeColor.GREEN}
-        assert greens == {e for e in k4.edges() if flipped[e] is EdgeColor.GREEN}
+        ec = tait_bits(k4)
+        greens = {e for e in k4.edges() if ec[e] == G}
+        invert_chain(ec, find_chain(k4, ec, k4.edges()[0], BY))
+        assert verify_coloring(k4, from_bits(k4, ec)) == []
+        assert greens == {e for e in k4.edges() if ec[e] == G}
+
+    def test_an_edge_outside_the_pair_is_refused(self, k4):
+        ec = tait_bits(k4)
+        green = next(e for e in k4.edges() if ec[e] == G)
+        with pytest.raises(KempeError, match="outside the pair"):
+            invert_chain(ec, KempeChain(BY, frozenset((green,))))
 
 
 class TestPatternAt:
@@ -130,9 +145,8 @@ class TestPatternAt:
         pat = pattern_at(cmap, ec, hub)
         assert pat.word == "BYBGB"
         assert not pat.tbci
-        assert pat.majority is EdgeColor.BLUE
-        assert Counter(pat.cyclic_colors) == {EdgeColor.BLUE: 3, EdgeColor.YELLOW: 1,
-                                              EdgeColor.GREEN: 1}
+        assert pat.majority == B
+        assert Counter(pat.cyclic_colors) == {B: 3, Y: 1, G: 1}
         assert pat.lone == 2
 
     def test_tbci_word(self, dodecahedron):
@@ -149,7 +163,7 @@ class TestPatternAt:
         pytest.skip("no immediately contiguous instance in this sweep")
 
     def test_wrong_degree(self, k4):
-        ec = find_tait_coloring(k4)
+        ec = tait_bits(k4)
         with pytest.raises(DegreeMismatch):
             pattern_at(k4, ec, 0)
 
@@ -157,13 +171,27 @@ class TestPatternAt:
         tr = run_procedure(recurrence14, 0,
                            deleted_edge=recurrence14.find_edge(0, 13))
         cmap, hub, ec = tr.contracted_map, tr.hub, tr.initial_coloring
-        broken = dict(ec.assignment)
+        broken = list(ec)
         hub_edges = [cmap.edge_id(d) for d in cmap.vertex_darts(hub)]
-        blue = [e for e in hub_edges if broken[e] is EdgeColor.BLUE]
-        broken[blue[0]] = EdgeColor.YELLOW
-        from tetracolor.coloring import EdgeColoring
+        blue = [e for e in hub_edges if broken[e] == B]
+        broken[blue[0]] = Y
         with pytest.raises(PatternNotAllowed):
-            pattern_at(cmap, EdgeColoring(broken), hub)
+            pattern_at(cmap, broken, hub)
+
+    def test_uncolored_hub_edges_are_not_allowed(self, recurrence14):
+        # BYBGB with its first two blues unset leaves B, Y, G once each:
+        # even in both subgraphs, yet no 3-1-1 pattern
+        tr = run_procedure(recurrence14, 0,
+                           deleted_edge=recurrence14.find_edge(0, 13))
+        cmap, hub = tr.contracted_map, tr.hub
+        hub_edges = [cmap.edge_id(d) for d in cmap.vertex_darts(hub)]
+        for k in range(1, 6):
+            for unset in itertools.combinations(hub_edges, k):
+                broken = list(tr.initial_coloring)
+                for e in unset:
+                    broken[e] = 0
+                with pytest.raises(PatternNotAllowed):
+                    pattern_at(cmap, broken, hub)
 
 
 class TestClassifyTopology:
@@ -222,7 +250,7 @@ class TestExpandVertex:
 
     def test_degree_mismatch_on_triangle_hub(self, k4):
         cmap, record = contract_face(k4, 0)
-        ec = find_tait_coloring(cmap)
+        ec = tait_bits(cmap)
         with pytest.raises(DegreeMismatch):
             expand_vertex(cmap, ec, record)
 
@@ -323,26 +351,25 @@ class TestStructuralRoundTrip:
 @given(seed=st.integers(0, 10_000))
 def test_inversion_preserves_properness_on_random_maps(seed):
     (m,) = generate(GenConfig(12, mode="random", count=1, seed=seed))
-    ec = find_tait_coloring(m)
-    chain = find_chain(m, ec, m.edges()[0],
-                       frozenset((ec[m.edges()[0]],
-                                  EdgeColor.GREEN if ec[m.edges()[0]] is not EdgeColor.GREEN
-                                  else EdgeColor.BLUE)))
-    flipped = invert_chain(ec, chain)
-    assert verify_coloring(m, flipped) == []
-    assert invert_chain(flipped, chain) == ec
+    ec = tait_bits(m)
+    start = list(ec)
+    first = ec[m.edges()[0]]
+    chain = find_chain(m, ec, m.edges()[0], first | (G if first != G else B))
+    invert_chain(ec, chain)
+    assert verify_coloring(m, from_bits(m, ec)) == []
+    invert_chain(ec, chain)
+    assert ec == start
 
 
 def test_chains_on_plain_cubic_maps_are_simple_cycles(corpus12):
     # with no five-valent hub anywhere, every two-colored chain closes into
     # a simple cycle
-    pairs = (BY, BG, frozenset((EdgeColor.YELLOW, EdgeColor.GREEN)))
     for m in corpus12[:15]:
-        ec = find_tait_coloring(m)
-        for pair in pairs:
+        ec = tait_bits(m)
+        for pair in (BY, BG, GY):
             seen = set()
             for e in m.edges():
-                if ec[e] not in pair or e in seen:
+                if not ec[e] & pair or e in seen:
                     continue
                 chain = find_chain(m, ec, e, pair)
                 seen |= chain.edges
@@ -384,13 +411,20 @@ def test_replay_rejects_an_improper_intermediate_state(dodecahedron):
     tr = run_procedure(dodecahedron, 0)
     cmap, ec = tr.contracted_map, tr.initial_coloring
     e = next(e for e in cmap.edges()
-             if ec[e] in BY and tr.hub not in cmap.edge_endpoints(e))
+             if ec[e] & BY and tr.hub not in cmap.edge_endpoints(e))
     flip = Inverted(inversion="auxiliary", pair="BY", seed_dart=e,
                     edges=(e,), word_after="")
     bogus = dataclasses.replace(
         tr, events=(tr.events[0], flip, flip) + tr.events[1:])
     assert replay_inversions(tr)
     assert not replay_inversions(bogus)
+
+
+def test_pair_letters_are_alphabetical():
+    assert [kempe._pair_str(p) for p in (BG, BY, GY)] == ["BG", "BY", "GY"]
+    for a, b in itertools.permutations(EDGE_ORDER, 2):
+        old = "".join(c.value for c in sorted((a, b), key=lambda c: c.value))
+        assert kempe._pair_str(BIT[a] | BIT[b]) == old
 
 
 def test_golden_trace_serialization(recurrence14):
@@ -423,7 +457,7 @@ class TestPreparedMap:
                 for a, b in ((tr.initial_coloring, plain.initial_coloring),
                              (tr.final_coloring, plain.final_coloring)):
                     assert a == b
-                    assert a is None or list(a.assignment) == list(b.assignment)
+                    assert a is None or type(a) is tuple
                 assert (tr.result is None) == (plain.result is None)
                 if tr.result is not None:
                     assert tr.result[0] is plain.result[0] is m
@@ -488,14 +522,6 @@ class TestPreparedMap:
             PreparedMap(parse_map("2\n1: 2\n2: 1\n"))
 
 
-def _as_list(cmap, ec):
-    """The reduction's flat form of a coloring: colors at edge ids."""
-    flat = [None] * cmap.dart_count
-    for e, c in ec.assignment.items():
-        flat[e] = c
-    return flat
-
-
 def _outcome(f, *args):
     try:
         return f(*args)
@@ -505,47 +531,21 @@ def _outcome(f, *args):
 
 def _trace_states(tr):
     """Every coloring along a trace: the start, then each recoloring."""
-    ec = tr.initial_coloring
-    if ec is None:
+    if tr.initial_coloring is None:
         return
-    yield ec
+    ec = list(tr.initial_coloring)
+    yield tuple(ec)
     for ev in tr.events:
         if isinstance(ev, Normalized):
-            perm = {EdgeColor.parse(a): EdgeColor.parse(b)
-                    for a, b in ev.permutation}
-            ec = EdgeColoring({x: perm.get(c, c) for x, c in ec.assignment.items()})
+            perm = {BIT_OF_LETTER[a]: BIT_OF_LETTER[b] for a, b in ev.permutation}
+            ec = [perm.get(c, c) for c in ec]
         elif isinstance(ev, Inverted):
-            pair = frozenset(EdgeColor.parse(ch) for ch in ev.pair)
-            ec = invert_chain(ec, KempeChain(pair, frozenset(ev.edges)))
+            pair = BIT_OF_LETTER[ev.pair[0]] | BIT_OF_LETTER[ev.pair[1]]
+            invert_chain(ec, KempeChain(pair, frozenset(ev.edges)))
         else:
             continue
-        yield ec
-
-
-def test_helpers_read_a_flat_list_as_an_edge_coloring(recurrence14):
-    pairs = [frozenset(p) for p in ((EdgeColor.BLUE, EdgeColor.YELLOW),
-                                    (EdgeColor.BLUE, EdgeColor.GREEN),
-                                    (EdgeColor.YELLOW, EdgeColor.GREEN))]
-    states = 0
-    for m in (recurrence14, parse_map(serialize_map(recurrence14.mirrored()))):
-        for f, e in _instances(m):
-            tr = run_procedure(m, f, deleted_edge=e)
-            cmap, hub = tr.contracted_map, tr.hub
-            for ec in _trace_states(tr):
-                flat = _as_list(cmap, ec)
-                assert _outcome(pattern_at, cmap, flat, hub) == \
-                    _outcome(pattern_at, cmap, ec, hub)
-                assert _outcome(classify_topology, cmap, flat, hub) == \
-                    _outcome(classify_topology, cmap, ec, hub)
-                for pair in pairs:
-                    assert _outcome(hub_pairing, cmap, flat, hub, pair) == \
-                        _outcome(hub_pairing, cmap, ec, hub, pair)
-                    for d in cmap.vertex_darts(hub):
-                        if ec[cmap.edge_id(d)] in pair:
-                            assert _outcome(cycle_through, cmap, flat, hub, d, pair) == \
-                                _outcome(cycle_through, cmap, ec, hub, d, pair)
-                states += 1
-    assert states > 100
+        yield tuple(ec)
+    assert tuple(ec) == tr.final_coloring
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +570,7 @@ def reference_lone_index(colors, majority):
 
 def reference_expand(m, ec, record):
     """Depth-first search over the boundary edges in walk order, colors in
-    EDGE_ORDER: the least proper extension onto the restored pentagon."""
+    bit order: the least proper extension onto the restored pentagon."""
     parent = record.parent
     colors = {pe: ec[ce] for ce, pe in record.edge_map.items()}
     boundary = [parent.edge_id(d) for d in record.boundary_darts]
@@ -592,17 +592,17 @@ def reference_expand(m, ec, record):
             i -= 1
         e = boundary[i]
         colors.pop(e, None)
-        if tried[i] == len(EDGE_ORDER):
+        if tried[i] == 3:
             if i == 0:
                 return None
             tried[i] = 0
             i -= 1
             continue
-        colors[e] = EDGE_ORDER[tried[i]]
+        colors[e] = (B, Y, G)[tried[i]]
         tried[i] += 1
         if all(consistent(w) for w in parent.edge_endpoints(e)):
             i += 1
-    full = EdgeColoring(dict(sorted(colors.items())))
+    full = EdgeColoring({e: MEMBER[c] for e, c in sorted(colors.items())})
     if verify_coloring(parent, full):
         return None
     return parent, full
@@ -613,20 +613,20 @@ def test_pattern_reads_every_hub_word_like_the_scans(dodecahedron):
     hub_edges = [cmap.edge_id(d) for d in cmap.vertex_darts(record.hub)]
     assert len(set(hub_edges)) == 5
     allowed = 0
-    for word in itertools.product(EDGE_ORDER, repeat=5):
-        flat = [None] * cmap.dart_count
+    for word in itertools.product((B, Y, G), repeat=5):
+        flat = [0] * cmap.dart_count
         for e, c in zip(hub_edges, word):
             flat[e] = c
         counts = Counter(word)
-        if (counts[EdgeColor.BLUE] + counts[EdgeColor.GREEN]) % 2 or \
-                (counts[EdgeColor.YELLOW] + counts[EdgeColor.GREEN]) % 2:
+        if (counts[B] + counts[G]) % 2 or (counts[Y] + counts[G]) % 2:
             with pytest.raises(PatternNotAllowed):
                 pattern_at(cmap, flat, record.hub)
             continue
         pat = pattern_at(cmap, flat, record.hub)
         assert pat.cyclic_colors == word
+        assert pat.word == "".join(MEMBER[c].value for c in word)
         assert counts[pat.majority] == 3
-        majority_at = [i for i, c in enumerate(word) if c is pat.majority]
+        majority_at = [i for i, c in enumerate(word) if c == pat.majority]
         assert pat.tbci == reference_contiguous(majority_at, 5)
         assert pat.lone == (None if pat.tbci
                             else reference_lone_index(word, pat.majority))
@@ -659,4 +659,4 @@ def test_expansion_refuses_a_boundary_vertex_without_one_off_walk_edge():
     cmap, record = contract_face(m, 0)
     assert cmap.degree(record.hub) == 5
     with pytest.raises(NotCubic):
-        expand_vertex(cmap, [EdgeColor.BLUE] * cmap.dart_count, record)
+        expand_vertex(cmap, [B] * cmap.dart_count, record)

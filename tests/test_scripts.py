@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -46,3 +47,51 @@ def test_bench_pairs_summary_of_canned_lines():
     assert summary["work_per_s"]["unit"] == "1/s"
     one = pairs.summarize(parent[:1], change[:1], {"setup_s": "lower", "work_per_s": "higher"})
     assert one["setup_s"]["parent"] == (0.30, 0.30, 0.30)
+
+
+CANNED_RUN = """workload sweep, seed 1: 3 timed repetitions, 5 set-ups, one fresh interpreter each
+  setup_s            0.247552 s     median of 5; quartiles 0.227027 .. 0.263877; spread 0.149
+  failed_share   0 (0 of 16221 operations)
+  check C1.instance_count                pass
+  digest C1.jsonl                        a80f9d39c4130b27 same in every repetition
+  digest sample                          eb03c266ef77494e DIFFERS
+  maps                                   87
+{"correct": true, "attempted": 16221, "failed": 0, "metrics": {}}
+"""
+
+
+def test_bench_pairs_reads_digest_lines_and_names_the_differing():
+    pairs = _load("bench_pairs")
+    same = pairs.digests(CANNED_RUN)
+    assert same == {"C1.jsonl": "a80f9d39c4130b27", "sample": "eb03c266ef77494e"}
+    other = {**same, "sample": "0" * 16}
+    assert pairs.differing([same, same], [same, same]) == []
+    assert pairs.differing([same, same], [same, other]) == ["sample"]
+    assert pairs.differing([same], [{"sample": same["sample"]}]) == ["C1.jsonl"]
+
+
+@pytest.mark.parametrize("change_sample, code", [("eb03c266ef77494e", 0),
+                                                 ("0000000000000000", 1)])
+def test_bench_pairs_exits_1_and_names_a_changed_digest(
+        tmp_path, monkeypatch, capsys, change_sample, code):
+    pairs = _load("bench_pairs")
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(
+        {"end_to_end": [{"name": "wall_s", "better": "lower"}]}))
+    parent = pairs.digests(CANNED_RUN)
+    change = {**parent, "sample": change_sample}
+
+    def fake_run(tree, workload, seed, seconds):
+        line = {"correct": True, "attempted": 1, "failed": 0,
+                "metrics": {"wall_s": {"value": 1.0, "unit": "s"}}}
+        return line, (change if tree == tmp_path else parent)
+
+    monkeypatch.setattr(pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(pairs, "unpack", lambda rev, into: None)
+    monkeypatch.setattr(pairs, "run_bench", fake_run)
+    monkeypatch.setattr(sys, "argv", ["bench_pairs.py", "--base", "HEAD", "--workload",
+                                      "sweep", "--pairs", "2", "--seconds", "1",
+                                      "--label", "t"])
+    assert pairs.main() == code
+    out = capsys.readouterr().out
+    assert ("output digests differ: sample" in out) == bool(code)
+    assert (tmp_path / "BENCH_t_sweep_change.json").exists()
