@@ -10,7 +10,13 @@ Each level keeps the first child seen per canonical key.  Insertions in
 one orbit of the parent's automorphisms give isomorphic children, so only
 the first insertion of each orbit is tried (the orbit pruning of McKay's
 canonical construction path); the kept texts are the same as when every
-insertion is tried.
+insertion is tried.  A child is tested for being a copy before it is
+built: on its dart arrays, the walks from the roots ``canonical_form``
+uses (``_roots``), in both orientations, are compared with the codes
+kept so far for maps with the same sorted face lengths.  A walk equal to
+a kept code is an isomorphic copy and is dropped; only a child with a new
+code is built, keyed and serialized, one per key kept.  Children are
+visited in the same order, so the first text kept per key is unchanged.
 
 Generation looks ahead to the top order it must reach.  Let p(m) be
 Σ (multiplicity − 1) over the vertex pairs of m.  An insertion lowers p
@@ -98,7 +104,8 @@ class GenConfig:
 
 def _walk_code(twin: Sequence[int], origin: Sequence[int], nxt: Sequence[int],
                start: int, best: Optional[list[int]] = None,
-               entry: Optional[list[int]] = None) -> Optional[list[int]]:
+               entry: Optional[list[int]] = None,
+               exact: bool = False) -> Optional[list[int]]:
     """Rotation-walk encoding rooted at one dart, or None once it loses.
 
     Vertices are labeled in discovery order; each vertex contributes a
@@ -110,8 +117,9 @@ def _walk_code(twin: Sequence[int], origin: Sequence[int], nxt: Sequence[int],
     Every walk of one connected map has the same length, so comparing each
     block with ``best`` as soon as it is complete decides the comparison of
     whole codes: the walk stops with None at the first block that is
-    greater.  The entry dart of each vertex, in label order, is appended
-    to ``entry`` when one is given.
+    greater, or with ``exact`` at the first that differs.  The entry dart
+    of each vertex, in label order, is appended to ``entry`` when one is
+    given.
     """
     label = [-1] * len(origin)   # a connected map has no more vertices than darts
     label[origin[start]] = 0
@@ -137,11 +145,21 @@ def _walk_code(twin: Sequence[int], origin: Sequence[int], nxt: Sequence[int],
         if tight:
             ref = best[len(code):len(code) + len(block)]
             if block != ref:
-                if block > ref:
+                if exact or block > ref:
                     return None
                 tight = False
         code += block
     return code
+
+
+def _roots(twin: Sequence[int], face_of: Sequence[int],
+           flen: Sequence[int]) -> list[int]:
+    """The darts with the least (own face, twin's face) length pair, where
+    ``flen[face_of[d]]`` is the length of dart d's face: the roots of a
+    map's walks."""
+    sides = [(flen[face_of[d]], flen[face_of[t]]) for d, t in enumerate(twin)]
+    lo = min(sides)
+    return [d for d, s in enumerate(sides) if s == lo]
 
 
 def _least_roots(m: RotationMap, rotations: Sequence[Sequence[int]]
@@ -150,16 +168,13 @@ def _least_roots(m: RotationMap, rotations: Sequence[Sequence[int]]
     (orientation, entry darts) of every walk that reaches it.
 
     ``rotations`` holds m's own rotation and that of its reflection.  Only
-    darts with the least (own face, twin's face) length pair are roots.
-    A reflection walks every face backwards, so a dart's pair in the
-    mirror is its twin's pair in m, and the least pair is the same in
-    both orientations.
+    darts with the least (own face, twin's face) length pair are roots
+    (``_roots``).  A reflection walks every face backwards, so a dart's
+    pair in the mirror is its twin's pair in m, and the least pair is the
+    same in both orientations.
     """
-    twin, face_of = m._twin, m._face_of
-    flen = [len(f.darts) for f in m.faces]
-    sides = [(flen[face_of[d]], flen[face_of[t]]) for d, t in enumerate(twin)]
-    lo = min(sides)
-    roots = [d for d, s in enumerate(sides) if s == lo]
+    twin = m._twin
+    roots = _roots(twin, m._face_of, [len(f.darts) for f in m.faces])
     best: Optional[list[int]] = None
     reached: list[tuple[int, list[int]]] = []
     for o, nxt in enumerate(rotations):
@@ -181,6 +196,26 @@ def canonical_form(m: RotationMap) -> str:
     """Key equal across orientation-preserving relabelings and reflections."""
     code, _ = _least_roots(m, (m._next, m.mirrored()._next))
     return f"{m.vertex_count};{m.edge_count};" + ",".join(map(str, code))
+
+
+def _walks_to(twin: Sequence[int], origin: Sequence[int], nxt: Sequence[int],
+              roots: Sequence[int], codes: Iterable[list[int]]) -> bool:
+    """Whether a root walk of the map of these dart arrays, in either
+    orientation, gives one of the codes, with no map built.
+
+    ``roots`` are the arrays' roots (``_roots``).  A code of a connected
+    map is the least of its root walks over both orientations, and equal
+    codes are isomorphic maps, so the test is True exactly when the map is
+    isomorphic to a map with one of the codes, reflections included.  The
+    reflection walks from the twin of each root on the reversed rotation,
+    as in ``_least_roots``.
+    """
+    prev = [0] * len(nxt)
+    for d, e in enumerate(nxt):
+        prev[e] = d
+    turns = ((nxt, roots), (prev, [twin[d] for d in roots]))
+    return any(_walk_code(twin, origin, rot, s, code, exact=True) is not None
+               for code in codes for rot, starts in turns for s in starts)
 
 
 def _automorphisms(m: RotationMap) -> list[tuple[list[int], bool]]:
@@ -291,8 +326,9 @@ def _child_excess(m: RotationMap) -> Callable[[int, int], int]:
 
 
 def _insertions(m: RotationMap, budget: Optional[int] = None
-                ) -> Iterator[RotationMap]:
-    """Children by every edge insertion (face f, i <= j) in (f, i, j) order,
+                ) -> Iterator[tuple[int, int, int, int, int]]:
+    """Every edge insertion (face f, i <= j) in (f, i, j) order, as
+    (f, i, j, a, b) with a and b the darts at walk positions i and j,
     skipping one when an earlier insertion gives an isomorphic child, or
     when the child's excess p (``_child_excess``) exceeds the budget.
 
@@ -327,7 +363,7 @@ def _insertions(m: RotationMap, budget: Optional[int] = None
                              for g in images)
                 if any(k < here for k in known):
                     continue
-                yield insert_edge_across_face(m, f.id, i, j)
+                yield f.id, i, j, a, b
 
 
 def _levels(n_max: int, top: Optional[int] = None
@@ -338,18 +374,36 @@ def _levels(n_max: int, top: Optional[int] = None
     only those with p <= top − n, which can still grow into a simple map
     of order top, each with the full level's text.  Only the level being
     grown and its parent are held.
+
+    A child is first tested on its dart arrays against the codes kept so
+    far with its sorted face lengths (``_walks_to``); only a child with a
+    new code is built, keyed and serialized.
     """
     level = ((canonical_form(_DIPOLE), serialize_map(_DIPOLE)),)
     yield 2, level
     for n in range(4, n_max + 1, 2):
         budget = None if top is None else top - n
         found: dict[str, str] = {}
+        kept: dict[tuple[int, ...], list[list[int]]] = {}
         for _, text in level:
             parent = parse_map(text, allow_parallel=True)
-            for child in _insertions(parent, budget):
+            for f, i, j, a, b in _insertions(parent, budget):
+                twin, origin, nxt = (list(parent._twin), list(parent._origin),
+                                     list(parent._next))
+                _add_chord(twin, origin, nxt, parent.vertex_count, a, b)
+                leasts, face_of = _face_walk(twin, nxt)
+                flen = [0] * len(leasts)
+                for x in face_of:
+                    flen[x] += 1
+                codes = kept.setdefault(tuple(sorted(flen)), [])
+                if codes and _walks_to(twin, origin, nxt, _roots(twin, face_of, flen),
+                                       codes):
+                    continue
+                child = insert_edge_across_face(parent, f, i, j)
                 key = canonical_form(child)
-                if key not in found:
-                    found[key] = serialize_map(child)
+                assert key not in found
+                found[key] = serialize_map(child)
+                codes.append([int(x) for x in key.rsplit(";", 1)[1].split(",")])
         level = tuple(sorted(found.items()))
         yield n, level
 
@@ -372,18 +426,22 @@ def _simple_maps(level: Iterable[tuple[str, str]]) -> Iterator[RotationMap]:
             yield m
 
 
-def _face_leasts(twin: Sequence[int], nxt: Sequence[int]) -> list[int]:
-    """The least dart of every face, ascending: one pass over the darts."""
-    seen = [False] * len(twin)
-    leasts = []
+def _face_walk(twin: Sequence[int], nxt: Sequence[int]
+               ) -> tuple[list[int], list[int]]:
+    """The least dart of every face, ascending, and the face of every dart,
+    faces numbered in that order as ``RotationMap`` numbers them: one pass
+    over the darts."""
+    face_of = [-1] * len(twin)
+    leasts: list[int] = []
     for d0 in range(len(twin)):
-        if not seen[d0]:
+        if face_of[d0] < 0:
+            f = len(leasts)
             leasts.append(d0)
             d = d0
-            while not seen[d]:
-                seen[d] = True
+            while face_of[d] < 0:
+                face_of[d] = f
                 d = nxt[twin[d]]
-    return leasts
+    return leasts, face_of
 
 
 def generate(config: GenConfig) -> Iterator[RotationMap]:
@@ -427,7 +485,7 @@ def generate(config: GenConfig) -> Iterator[RotationMap]:
             _add_chord(twin, origin, nxt, nverts, w[i], w[j])
             nverts += 2
             bisect.insort(leasts, min(w[i + 1:j + 1]))
-        assert _face_leasts(twin, nxt) == leasts
+        assert _face_walk(twin, nxt)[0] == leasts
         m = _renumbered_as_parsed(twin, origin, nxt, nverts)
         assert validate(m).all_ok   # simple, so numbered as the parse of its text
         yield m

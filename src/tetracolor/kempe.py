@@ -660,7 +660,8 @@ def replay_inversions(trace: ReductionTrace) -> bool:
     True iff every intermediate coloring keeps even parity in both
     two-colored subgraphs and stays proper at every 3-valent vertex other
     than the hub, and the replayed coloring matches the trace's final
-    coloring exactly; traces without a start state (no Tait coloring)
+    coloring exactly; an inversion of an edge colored outside its pair
+    replays False.  Traces without a start state (no Tait coloring)
     replay vacuously.
     """
     if trace.initial_coloring is None or trace.contracted_map is None:
@@ -677,7 +678,10 @@ def replay_inversions(trace: ReductionTrace) -> bool:
             ec = [perm.get(c, c) for c in ec]
         elif isinstance(ev, Inverted):
             pair = _LETTER_BIT[ev.pair[0]] | _LETTER_BIT[ev.pair[1]]
-            invert_chain(ec, KempeChain(pair, frozenset(ev.edges)))
+            try:
+                invert_chain(ec, KempeChain(pair, frozenset(ev.edges)))
+            except KempeError:   # an edge colored outside the pair
+                return False
         else:
             continue
         try:

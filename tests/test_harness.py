@@ -17,8 +17,9 @@ from tetracolor.coloring import find_tait_coloring, verify_coloring
 from tetracolor.harness import (_DIPOLE, CLAIM_IDS, K4_TEXT, GenConfig,
                                 HarnessError, InstanceRecord, OddOrder,
                                 UnknownClaim, UnsupportedFormat,
-                                _automorphisms, _child_excess,
-                                _exhaustive_level, _levels, canonical_form,
+                                _add_chord, _automorphisms, _child_excess,
+                                _exhaustive_level, _face_walk, _levels,
+                                _roots, _walk_code, _walks_to, canonical_form,
                                 check_claim, corpus, emit_report, generate,
                                 insert_edge_across_face, is_three_connected)
 from tetracolor.kempe import PreparedMap
@@ -351,6 +352,98 @@ class TestLookAhead:
         assert all(excess(parse_map(text, allow_parallel=True)) <= 12 - n
                    for n, level in _levels(12, 12)
                    for _, text in level)
+
+
+def child_arrays(parent, a, b):
+    """The dart arrays of the child with a chord between the edges of
+    darts a and b of one face, as generation tests them before building."""
+    twin, origin, nxt = list(parent._twin), list(parent._origin), list(parent._next)
+    _add_chord(twin, origin, nxt, parent.vertex_count, a, b)
+    return twin, origin, nxt
+
+
+def lengths_and_roots(twin, nxt):
+    """The sorted face lengths and the roots of these dart arrays."""
+    leasts, face_of = _face_walk(twin, nxt)
+    flen = [face_of.count(f) for f in range(len(leasts))]
+    return tuple(sorted(flen)), _roots(twin, face_of, flen)
+
+
+def walk_code_of(key):
+    return [int(x) for x in key.rsplit(";", 1)[1].split(",")]
+
+
+def every_insertion(m):
+    """(face id, i, j, a, b) for every insertion across a face of m."""
+    for f in m.faces:
+        for i, a in enumerate(f.darts):
+            for j in range(i, len(f)):
+                yield f.id, i, j, a, f.darts[j]
+
+
+class TestCopyTest:
+    def test_copy_exactly_when_the_key_is_equal(self, full_levels):
+        # every insertion of every parent of the full levels up to order 12,
+        # tested against each kept key with the child's face lengths
+        copies = others = 0
+        for n in range(4, 13, 2):
+            bucket = {}
+            for key, text in full_levels[n]:
+                m = parse_map(text, allow_parallel=True)
+                bucket.setdefault(tuple(sorted(len(f) for f in m.faces)), []).append(key)
+            for _, text in full_levels[n - 2]:
+                parent = parse_map(text, allow_parallel=True)
+                for f, i, j, a, b in every_insertion(parent):
+                    twin, origin, nxt = child_arrays(parent, a, b)
+                    key = canonical_form(insert_edge_across_face(parent, f, i, j))
+                    lengths, roots = lengths_and_roots(twin, nxt)
+                    kept = bucket[lengths]
+                    assert key in kept
+                    for other in kept:
+                        copy = _walks_to(twin, origin, nxt, roots, [walk_code_of(other)])
+                        assert copy == (other == key), (text, f, i, j, other)
+                        copies += copy
+                        others += not copy
+        assert copies == 970 + 185 + 50 + 9 + 5100 and others > 0
+
+    def test_a_reflected_copy_of_a_chiral_map_is_rejected(self, full_levels):
+        # the first kept map with no reversing automorphism, and the first
+        # insertion whose child is isomorphic to it only by reflection
+        for n in range(4, 13, 2):
+            chiral = {key for key, text in full_levels[n]
+                      if not any(rev for _, rev in _automorphisms(
+                          parse_map(text, allow_parallel=True)))}
+            for _, text in full_levels[n - 2]:
+                parent = parse_map(text, allow_parallel=True)
+                for f, i, j, a, b in every_insertion(parent):
+                    key = canonical_form(insert_edge_across_face(parent, f, i, j))
+                    if key not in chiral:
+                        continue
+                    twin, origin, nxt = child_arrays(parent, a, b)
+                    code = walk_code_of(key)
+                    roots = lengths_and_roots(twin, nxt)[1]
+                    if any(_walk_code(twin, origin, nxt, d, code) == code
+                           for d in roots):
+                        continue   # a copy in its own orientation
+                    assert _walks_to(twin, origin, nxt, roots, [code])
+                    return
+        pytest.fail("no child isomorphic to a chiral map only by reflection")
+
+    def test_one_child_built_per_key_kept(self, monkeypatch):
+        built = Counter()
+        insert = harness.insert_edge_across_face
+
+        def counted(m, *args):
+            built[m.vertex_count + 2] += 1
+            return insert(m, *args)
+        monkeypatch.setattr(harness, "insert_edge_across_face", counted)
+        kept = {n: len(level) for n, level in _levels(12) if n > 2}
+        assert built == kept == {4: 2, 6: 4, 8: 14, 10: 54, 12: 291}
+
+    def test_a_missed_copy_fails_loudly(self, monkeypatch):
+        monkeypatch.setattr(harness, "_walks_to", lambda *args: False)
+        with pytest.raises(AssertionError):
+            list(_levels(6))
 
 
 def rooted_maps(maps):

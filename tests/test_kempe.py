@@ -420,6 +420,21 @@ def test_replay_rejects_an_improper_intermediate_state(dodecahedron):
     assert not replay_inversions(bogus)
 
 
+def test_replay_judges_an_inversion_outside_its_pair_false(dodecahedron):
+    # a green edge inverted as blue-yellow: invert_chain refuses it, and the
+    # replay reports the trace as failing instead of raising
+    import dataclasses
+    tr = run_procedure(dodecahedron, 0)
+    cmap, ec = tr.contracted_map, tr.initial_coloring
+    e = next(e for e in cmap.edges() if ec[e] == G)
+    flip = Inverted(inversion="auxiliary", pair="BY", seed_dart=e,
+                    edges=(e,), word_after="")
+    with pytest.raises(KempeError, match="outside the pair"):
+        invert_chain(list(ec), KempeChain(BY, frozenset((e,))))
+    bogus = dataclasses.replace(tr, events=(tr.events[0], flip) + tr.events[1:])
+    assert replay_inversions(bogus) is False
+
+
 def test_pair_letters_are_alphabetical():
     assert [kempe._pair_str(p) for p in (BG, BY, GY)] == ["BG", "BY", "GY"]
     for a, b in itertools.permutations(EDGE_ORDER, 2):
