@@ -3,11 +3,11 @@
 
     PYTHONPATH=src python3 scripts/claims_n18.py
 
-A long run, kept out of the test suite: about two minutes and 370 MiB
-on a 2-core x86-64 VM.  It builds corpus(18) and checks order 18 against
-its anchors: 407,802 rooted simple maps, 118,668 rooted 3-connected maps
-(OEIS A000260) and 1,249 3-connected maps up to reflection (OEIS
-A000109).  If one fails it exits 1 before any claim runs.  Then it runs
+A long run, kept out of the test suite: about 80 s and 350 MiB on a
+2-core x86-64 VM.  It builds corpus(18), about 20 s of that, and checks
+order 18 against its anchors: 407,802 rooted simple maps, 118,668 rooted
+3-connected maps (OEIS A000260) and 1,249 3-connected maps up to
+reflection (OEIS A000109).  If one fails it exits 1 before any claim runs.  Then it runs
 C1..C6 once each, in one process, and emits every report as jsonl, csv
 and text.  Per claim it prints the instances, the violations, the wall
 time, the peak RSS so far and the sha256 of each report with its runtime

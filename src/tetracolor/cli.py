@@ -1,12 +1,14 @@
 """Command-line interface.
 
 Exit codes: 0 when the requested check found no violations, 1 when
-violations were found, 2 on input errors.
+violations were found, 2 on input errors, 141 (128 + SIGPIPE) when the
+reader of the output went away before it was all written.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -227,6 +229,9 @@ def main(argv=None) -> int:
     except pm.MapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:   # the reader left: keep the last flush quiet
+        sys.stdout = open(os.devnull, "w")
+        return 141
 
 
 if __name__ == "__main__":

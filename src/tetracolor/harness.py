@@ -10,13 +10,13 @@ Each level keeps the first child seen per canonical key.  Insertions in
 one orbit of the parent's automorphisms give isomorphic children, so only
 the first insertion of each orbit is tried (the orbit pruning of McKay's
 canonical construction path); the kept texts are the same as when every
-insertion is tried.  A child is tested for being a copy before it is
-built: on its dart arrays, the walks from the roots ``canonical_form``
-uses (``_roots``), in both orientations, are compared with the codes
-kept so far for maps with the same sorted face lengths.  A walk equal to
-a kept code is an isomorphic copy and is dropped; only a child with a new
-code is built, keyed and serialized, one per key kept.  Children are
-visited in the same order, so the first text kept per key is unchanged.
+insertion is tried.  Each tried child is walked once on its dart arrays,
+in both orientations (``_least_roots``): its least code is its key, a key
+already in the level is a copy, and only a child with a new key is built
+and serialized.  The walks that reach the least code are its
+automorphisms; renumbered as its text parses, they prune its own
+insertions at the next level.  Children are visited in the same order,
+so the first text kept per key is unchanged.
 
 Generation looks ahead to the top order it must reach.  Let p(m) be
 Σ (multiplicity − 1) over the vertex pairs of m.  An insertion lowers p
@@ -60,8 +60,8 @@ from .dscc import EvenSubgraph, trail_decompose
 from .kempe import (ANOMALY_NO_TAIT, Inverted, Pattern, PreparedMap,
                     ReductionTrace, Topology, cycle_through, find_chain,
                     replay_inversions, run_procedure)
-from .planar_map import (MapError, RotationMap, _renumbered_as_parsed, parse_map,
-                         serialize_map, validate)
+from .planar_map import (MapError, RotationMap, _parse_order, _renumbered_as_parsed,
+                         parse_map, serialize_map, validate)
 
 
 class HarnessError(MapError):
@@ -104,8 +104,7 @@ class GenConfig:
 
 def _walk_code(twin: Sequence[int], origin: Sequence[int], nxt: Sequence[int],
                start: int, best: Optional[list[int]] = None,
-               entry: Optional[list[int]] = None,
-               exact: bool = False) -> Optional[list[int]]:
+               entry: Optional[list[int]] = None) -> Optional[list[int]]:
     """Rotation-walk encoding rooted at one dart, or None once it loses.
 
     Vertices are labeled in discovery order; each vertex contributes a
@@ -117,9 +116,8 @@ def _walk_code(twin: Sequence[int], origin: Sequence[int], nxt: Sequence[int],
     Every walk of one connected map has the same length, so comparing each
     block with ``best`` as soon as it is complete decides the comparison of
     whole codes: the walk stops with None at the first block that is
-    greater, or with ``exact`` at the first that differs.  The entry dart
-    of each vertex, in label order, is appended to ``entry`` when one is
-    given.
+    greater.  The entry dart of each vertex, in label order, is appended
+    to ``entry`` when one is given.
     """
     label = [-1] * len(origin)   # a connected map has no more vertices than darts
     label[origin[start]] = 0
@@ -145,42 +143,39 @@ def _walk_code(twin: Sequence[int], origin: Sequence[int], nxt: Sequence[int],
         if tight:
             ref = best[len(code):len(code) + len(block)]
             if block != ref:
-                if exact or block > ref:
+                if block > ref:
                     return None
                 tight = False
         code += block
     return code
 
 
-def _roots(twin: Sequence[int], face_of: Sequence[int],
-           flen: Sequence[int]) -> list[int]:
-    """The darts with the least (own face, twin's face) length pair, where
-    ``flen[face_of[d]]`` is the length of dart d's face: the roots of a
-    map's walks."""
+def _least_roots(twin: Sequence[int], origin: Sequence[int],
+                 face_of: Sequence[int], rotations: Sequence[Sequence[int]]
+                 ) -> tuple[list[int], list[tuple[int, list[int]]]]:
+    """The least walk code over both orientations of the connected map of
+    these dart arrays, and the (orientation, entry darts) of every walk
+    that reaches it.
+
+    ``face_of`` gives each dart's face, and ``rotations`` holds the map's
+    own rotation and that of its reflection.  Only darts with the least
+    (own face, twin's face) length pair are roots.  A reflection walks
+    every face backwards, so a dart's pair in the mirror is its twin's
+    pair in the map: the least pair is the same in both orientations, and
+    the mirror's walks start from the twins of the roots.
+    """
+    flen = [0] * len(face_of)
+    for f in face_of:
+        flen[f] += 1
     sides = [(flen[face_of[d]], flen[face_of[t]]) for d, t in enumerate(twin)]
     lo = min(sides)
-    return [d for d, s in enumerate(sides) if s == lo]
-
-
-def _least_roots(m: RotationMap, rotations: Sequence[Sequence[int]]
-                 ) -> tuple[list[int], list[tuple[int, list[int]]]]:
-    """The least walk code over both orientations of m, and the
-    (orientation, entry darts) of every walk that reaches it.
-
-    ``rotations`` holds m's own rotation and that of its reflection.  Only
-    darts with the least (own face, twin's face) length pair are roots
-    (``_roots``).  A reflection walks every face backwards, so a dart's
-    pair in the mirror is its twin's pair in m, and the least pair is the
-    same in both orientations.
-    """
-    twin = m._twin
-    roots = _roots(twin, m._face_of, [len(f.darts) for f in m.faces])
+    roots = [d for d, s in enumerate(sides) if s == lo]
     best: Optional[list[int]] = None
     reached: list[tuple[int, list[int]]] = []
     for o, nxt in enumerate(rotations):
         for d in roots:
             entry: list[int] = []
-            code = _walk_code(twin, m._origin, nxt, d if o == 0 else twin[d],
+            code = _walk_code(twin, origin, nxt, d if o == 0 else twin[d],
                               best, entry)
             if code is None:
                 continue
@@ -194,33 +189,33 @@ def _least_roots(m: RotationMap, rotations: Sequence[Sequence[int]]
 
 def canonical_form(m: RotationMap) -> str:
     """Key equal across orientation-preserving relabelings and reflections."""
-    code, _ = _least_roots(m, (m._next, m.mirrored()._next))
+    code, _ = _least_roots(m._twin, m._origin, m._face_of,
+                           (m._next, m.mirrored()._next))
     return f"{m.vertex_count};{m.edge_count};" + ",".join(map(str, code))
 
 
-def _walks_to(twin: Sequence[int], origin: Sequence[int], nxt: Sequence[int],
-              roots: Sequence[int], codes: Iterable[list[int]]) -> bool:
-    """Whether a root walk of the map of these dart arrays, in either
-    orientation, gives one of the codes, with no map built.
-
-    ``roots`` are the arrays' roots (``_roots``).  A code of a connected
-    map is the least of its root walks over both orientations, and equal
-    codes are isomorphic maps, so the test is True exactly when the map is
-    isomorphic to a map with one of the codes, reflections included.  The
-    reflection walks from the twin of each root on the reversed rotation,
-    as in ``_least_roots``.
-    """
-    prev = [0] * len(nxt)
-    for d, e in enumerate(nxt):
-        prev[e] = d
-    turns = ((nxt, roots), (prev, [twin[d] for d in roots]))
-    return any(_walk_code(twin, origin, rot, s, code, exact=True) is not None
-               for code in codes for rot, starts in turns for s in starts)
+def _group(rotations: Sequence[Sequence[int]],
+           reached: Sequence[tuple[int, list[int]]]) -> list[tuple[list[int], bool]]:
+    """The automorphisms the least walks of a map give (``_least_roots``):
+    the first walk's darts onto each walk's, flagged True if reversing."""
+    o0, e0 = reached[0]
+    out = []
+    for o, e in reached:
+        phi = [0] * len(rotations[0])
+        for a0, b0 in zip(e0, e):
+            a, b = a0, b0
+            while True:
+                phi[a] = b
+                a, b = rotations[o0][a], rotations[o][b]
+                if a == a0:
+                    break
+        out.append((phi, o != o0))
+    return out
 
 
 def _automorphisms(m: RotationMap) -> list[tuple[list[int], bool]]:
     """Every automorphism of a connected map m as a dart map, flagged True
-    when it reverses orientation.
+    when it reverses orientation (``_group``).
 
     Two rooted walks with the least code correspond block by block, which
     pairs the darts around each vertex by rotation position.  The pairing
@@ -234,20 +229,7 @@ def _automorphisms(m: RotationMap) -> list[tuple[list[int], bool]]:
     it sends each face onto the twins of a face walked backwards.
     """
     rotations = (m._next, m.mirrored()._next)
-    _, reached = _least_roots(m, rotations)
-    o0, e0 = reached[0]
-    out = []
-    for o, e in reached:
-        phi = [0] * m.dart_count
-        for a0, b0 in zip(e0, e):
-            a, b = a0, b0
-            while True:
-                phi[a] = b
-                a, b = rotations[o0][a], rotations[o][b]
-                if a == a0:
-                    break
-        out.append((phi, o != o0))
-    return out
+    return _group(rotations, _least_roots(m._twin, m._origin, m._face_of, rotations)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -325,19 +307,20 @@ def _child_excess(m: RotationMap) -> Callable[[int, int], int]:
     return excess
 
 
-def _insertions(m: RotationMap, budget: Optional[int] = None
-                ) -> Iterator[tuple[int, int, int, int, int]]:
+def _insertions(m: RotationMap, group: Sequence[tuple[list[int], bool]],
+                budget: Optional[int]) -> Iterator[tuple[int, int, int, int, int]]:
     """Every edge insertion (face f, i <= j) in (f, i, j) order, as
     (f, i, j, a, b) with a and b the darts at walk positions i and j,
     skipping one when an earlier insertion gives an isomorphic child, or
     when the child's excess p (``_child_excess``) exceeds the budget.
 
-    An automorphism maps the chord across face f between the edges of
-    darts a and b onto the chord between the edges of its images, which
-    lie in one face; a reversing one maps it into the mirror, whose faces
-    are the twins of m's.  A digon (i == j) is the same map on either side
-    of its edge.  A skipped child is never the first with its key:
-    isomorphic children have equal p.
+    ``group`` is m's automorphisms as ``_automorphisms`` gives them.  An
+    automorphism maps the chord across face f between the edges of darts
+    a and b onto the chord between the edges of their images, which lie in
+    one face; a reversing one maps it into the mirror, whose faces are the
+    twins of m's.  A digon (i == j) is the same map on either side of its
+    edge.  A skipped child is never the first with its key: isomorphic
+    children have equal p.
     """
     twin, face_of = m._twin, m._face_of
     excess = _child_excess(m)
@@ -346,7 +329,7 @@ def _insertions(m: RotationMap, budget: Optional[int] = None
         for i, d in enumerate(f.darts):
             pos[d] = i
     images = [[twin[x] for x in phi] if reverses else phi
-              for phi, reverses in _automorphisms(m)]
+              for phi, reverses in group]
     for f in m.faces:
         walk = f.darts
         for i, a in enumerate(walk):
@@ -375,36 +358,43 @@ def _levels(n_max: int, top: Optional[int] = None
     of order top, each with the full level's text.  Only the level being
     grown and its parent are held.
 
-    A child is first tested on its dart arrays against the codes kept so
-    far with its sorted face lengths (``_walks_to``); only a child with a
-    new code is built, keyed and serialized.
+    Each tried child is walked once on its arrays (``_least_roots``), the
+    reflection's rotation read off the parent's; its key is looked up in
+    the level, and its automorphisms (``_group``), renumbered as its text
+    parses (``_parse_order``), are kept by key for the next level.
     """
-    level = ((canonical_form(_DIPOLE), serialize_map(_DIPOLE)),)
+    key = canonical_form(_DIPOLE)
+    groups = {key: _automorphisms(_DIPOLE)}
+    level = ((key, serialize_map(_DIPOLE)),)
     yield 2, level
     for n in range(4, n_max + 1, 2):
         budget = None if top is None else top - n
         found: dict[str, str] = {}
-        kept: dict[tuple[int, ...], list[list[int]]] = {}
-        for _, text in level:
+        handed: dict[str, list[tuple[list[int], bool]]] = {}
+        for key, text in level:
             parent = parse_map(text, allow_parallel=True)
-            for f, i, j, a, b in _insertions(parent, budget):
+            D = parent.dart_count
+            prev = [0] * D
+            for d, e in enumerate(parent._next):
+                prev[e] = d
+            # the reversed rotation at the chord's darts D..D+5 (_add_chord)
+            prev += [D + 1, D + 4, D + 3, D + 5, D, D + 2]
+            for f, i, j, a, b in _insertions(parent, groups[key], budget):
                 twin, origin, nxt = (list(parent._twin), list(parent._origin),
                                      list(parent._next))
                 _add_chord(twin, origin, nxt, parent.vertex_count, a, b)
-                leasts, face_of = _face_walk(twin, nxt)
-                flen = [0] * len(leasts)
-                for x in face_of:
-                    flen[x] += 1
-                codes = kept.setdefault(tuple(sorted(flen)), [])
-                if codes and _walks_to(twin, origin, nxt, _roots(twin, face_of, flen),
-                                       codes):
+                rotations = (nxt, prev)
+                code, reached = _least_roots(twin, origin, _face_walk(twin, nxt)[1],
+                                             rotations)
+                child = f"{n};{len(twin) // 2};" + ",".join(map(str, code))
+                if child in found:
                     continue
-                child = insert_edge_across_face(parent, f, i, j)
-                key = canonical_form(child)
-                assert key not in found
-                found[key] = serialize_map(child)
-                codes.append([int(x) for x in key.rsplit(";", 1)[1].split(",")])
-        level = tuple(sorted(found.items()))
+                found[child] = serialize_map(insert_edge_across_face(parent, f, i, j))
+                if n < n_max:   # only a level with children hands groups on
+                    order, new = _parse_order(origin, nxt, n)
+                    handed[child] = [([new[phi[d]] for d in order], reverses)
+                                     for phi, reverses in _group(rotations, reached)]
+        level, groups = tuple(sorted(found.items())), handed
         yield n, level
 
 

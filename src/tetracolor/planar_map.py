@@ -280,22 +280,17 @@ def from_neighbor_lists(lists: Sequence[Sequence[int]],
 
     Parallel edges pair the k-th occurrence of v in u's rotation with the
     (count-1-k)-th occurrence of u in v's rotation, the pairing a plane
-    bundle of parallel edges induces.  A loop at v appears twice in v's
-    own list and is paired the same way within that list.
+    bundle of parallel edges induces: in one pass over the rows, a dart
+    toward a later vertex waits on a stack, and each dart back takes the
+    last one waiting.  A loop at v appears twice in v's own list and is
+    paired the same way within that list.
     """
     n = len(lists)
-    origin: list[int] = []
-    dart_ids: list[list[int]] = []
-    k = 0
     for u, row in enumerate(lists):
         for v in row:
             if not 0 <= v < n:
                 raise MalformedInput(
                     f"neighbor {v + 1} out of range at vertex {u + 1}")
-            origin.append(u)
-        dart_ids.append(list(range(k, k + len(row))))
-        k += len(row)
-
     if not allow_parallel:
         for u, row in enumerate(lists):
             if len(set(row)) != len(row):
@@ -303,36 +298,36 @@ def from_neighbor_lists(lists: Sequence[Sequence[int]],
             if u in row:
                 raise DuplicateNeighbor(f"vertex {u + 1} lists itself")
 
-    slots: dict[tuple[int, int], list[int]] = {}
+    origin: list[int] = []
+    twin = [-1] * sum(map(len, lists))
+    nxt = [-1] * len(twin)
+    waiting: dict[tuple[int, int], list[int]] = {}
     for u, row in enumerate(lists):
+        k = len(origin)
+        origin += [u] * len(row)
+        loops = []
         for i, v in enumerate(row):
-            slots.setdefault((min(u, v), max(u, v)), []).append(dart_ids[u][i])
-
-    twin = [-1] * len(origin)
-    for (u, v), ds in slots.items():
-        if u == v:
-            if len(ds) % 2:
-                raise NonReciprocal(f"loop at {u + 1} listed an odd number of times")
-            m = len(ds)
-            for i in range(m // 2):
-                a, b = ds[i], ds[m - 1 - i]
-                twin[a], twin[b] = b, a
-        else:
-            at_u = [d for d in ds if origin[d] == u]
-            at_v = [d for d in ds if origin[d] == v]
-            if len(at_u) != len(at_v):
-                raise NonReciprocal(
-                    f"vertices {u + 1} and {v + 1} disagree about their shared edges")
-            m = len(at_u)
-            for i in range(m):
-                a, b = at_u[i], at_v[m - 1 - i]
-                twin[a], twin[b] = b, a
-
-    nxt = [-1] * len(origin)
-    for u in range(n):
-        ds = dart_ids[u]
-        for i, d in enumerate(ds):
-            nxt[d] = ds[(i + 1) % len(ds)]
+            d = k + i
+            nxt[d] = k + (i + 1) % len(row)
+            if v > u:
+                waiting.setdefault((u, v), []).append(d)
+            elif v < u:
+                stack = waiting.get((v, u))
+                if not stack:
+                    raise NonReciprocal(
+                        f"vertices {v + 1} and {u + 1} disagree about their shared edges")
+                t = stack.pop()
+                twin[d], twin[t] = t, d
+            else:
+                loops.append(d)
+        if len(loops) % 2:
+            raise NonReciprocal(f"loop at {u + 1} listed an odd number of times")
+        for a, b in zip(loops, reversed(loops)):
+            twin[a] = b
+    for (u, v), stack in waiting.items():
+        if stack:
+            raise NonReciprocal(
+                f"vertices {u + 1} and {v + 1} disagree about their shared edges")
     return RotationMap(twin, origin, nxt, n)
 
 
@@ -386,22 +381,16 @@ def serialize_map(m: RotationMap) -> str:
     return "\n".join(out) + "\n"
 
 
-def _renumbered_as_parsed(twin: Sequence[int], origin: Sequence[int],
-                          nxt: Sequence[int], vertex_count: int) -> RotationMap:
-    """The map of these dart arrays, numbered as ``parse_map`` numbers its
-    text: vertex by vertex, each rotation from its least dart, with twin
-    and next mapped through that permutation; built once.
-
-    Equal to ``parse_map(serialize_map(m))`` only when the map has no
-    parallel edges or loops: the parse pairs the darts of parallel edges
-    by their position in the text, not by the given twin.
-    """
-    n = len(twin)
+def _parse_order(origin: Sequence[int], nxt: Sequence[int],
+                 vertex_count: int) -> tuple[list[int], list[int]]:
+    """The darts in the order ``parse_map`` numbers a map's text: vertex by
+    vertex, each rotation from its least dart; and the number each dart
+    gets in that order.  Refuses a rotation whose renumbering would not be
+    a permutation of the darts."""
+    n = len(origin)
     first = [-1] * vertex_count
     for d in range(n - 1, -1, -1):
         first[origin[d]] = d
-    # the build checks the renumbered arrays, which speaks for the given
-    # ones only when the renumbering is a permutation of the darts
     new = [-1] * n
     order: list[int] = []
     for d0 in first:
@@ -414,6 +403,20 @@ def _renumbered_as_parsed(twin: Sequence[int], origin: Sequence[int],
             raise MalformedInput("rotation is not a permutation")
     if len(order) != n:
         raise MalformedInput("rotation at some vertex splits into several cycles")
+    return order, new
+
+
+def _renumbered_as_parsed(twin: Sequence[int], origin: Sequence[int],
+                          nxt: Sequence[int], vertex_count: int) -> RotationMap:
+    """The map of these dart arrays, numbered as ``parse_map`` numbers its
+    text (``_parse_order``), with twin and next mapped through that
+    permutation; built once.
+
+    Equal to ``parse_map(serialize_map(m))`` only when the map has no
+    parallel edges or loops: the parse pairs the darts of parallel edges
+    by their position in the text, not by the given twin.
+    """
+    order, new = _parse_order(origin, nxt, vertex_count)
     return RotationMap([new[twin[d]] for d in order], [origin[d] for d in order],
                        [new[nxt[d]] for d in order], vertex_count)
 

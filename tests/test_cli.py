@@ -327,6 +327,38 @@ def test_module_entry_point(tmp_path):
     assert "bridgeless: True" in proc.stdout
 
 
+class ClosedPipe:
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+def test_closed_pipe_exits_141_without_a_traceback(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["gen", "--n", "8"]) == 141
+    sys.stdout.close()   # the null device main pointed stdout at
+    assert capsys.readouterr().err == ""
+
+
+def test_output_cut_short_by_head_exits_141_quietly():
+    # more output than a pipe buffer holds, so the writer meets the closed end
+    src = str(Path(kp.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.Popen([sys.executable, "-m", "tetracolor", "gen", "--n", "100",
+                             "--random", "100"], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"# map 0\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 141
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+
+
 @pytest.mark.parametrize("curves_text,samples_text", [
     ("[blue]\n1 abc\n", "a 1 1\n"),
     ("[blue]\ncurve\n0 0\n4 0\n4 4\n", "a 1 abc\n"),

@@ -18,8 +18,8 @@ from tetracolor.harness import (_DIPOLE, CLAIM_IDS, K4_TEXT, GenConfig,
                                 HarnessError, InstanceRecord, OddOrder,
                                 UnknownClaim, UnsupportedFormat,
                                 _add_chord, _automorphisms, _child_excess,
-                                _exhaustive_level, _face_walk, _levels,
-                                _roots, _walk_code, _walks_to, canonical_form,
+                                _exhaustive_level, _face_walk, _least_roots,
+                                _levels, canonical_form,
                                 check_claim, corpus, emit_report, generate,
                                 insert_edge_across_face, is_three_connected)
 from tetracolor.kempe import PreparedMap
@@ -356,21 +356,28 @@ class TestLookAhead:
 
 def child_arrays(parent, a, b):
     """The dart arrays of the child with a chord between the edges of
-    darts a and b of one face, as generation tests them before building."""
+    darts a and b of one face, as generation walks them before building."""
     twin, origin, nxt = list(parent._twin), list(parent._origin), list(parent._next)
     _add_chord(twin, origin, nxt, parent.vertex_count, a, b)
     return twin, origin, nxt
 
 
-def lengths_and_roots(twin, nxt):
-    """The sorted face lengths and the roots of these dart arrays."""
-    leasts, face_of = _face_walk(twin, nxt)
-    flen = [face_of.count(f) for f in range(len(leasts))]
-    return tuple(sorted(flen)), _roots(twin, face_of, flen)
+def reversed_rotation(nxt):
+    prev = [0] * len(nxt)
+    for d, e in enumerate(nxt):
+        prev[e] = d
+    return prev
 
 
-def walk_code_of(key):
-    return [int(x) for x in key.rsplit(";", 1)[1].split(",")]
+def array_walks(twin, origin, nxt, prev):
+    """The least code and least walks of the map of these dart arrays."""
+    return _least_roots(twin, origin, _face_walk(twin, nxt)[1], (nxt, prev))
+
+
+def array_key(twin, origin, nxt, prev):
+    """The key generation reads off a child's arrays."""
+    code, _ = array_walks(twin, origin, nxt, prev)
+    return f"{len(set(origin))};{len(twin) // 2};" + ",".join(map(str, code))
 
 
 def every_insertion(m):
@@ -381,52 +388,68 @@ def every_insertion(m):
                 yield f.id, i, j, a, f.darts[j]
 
 
+def handed_groups(monkeypatch, *args):
+    """(parent text, group) for every group ``_levels(*args)`` hands to a
+    parent's insertions."""
+    seen = []
+    insertions = harness._insertions
+
+    def recorded(m, group, budget):
+        seen.append((serialize_map(m), group))
+        return insertions(m, group, budget)
+    monkeypatch.setattr(harness, "_insertions", recorded)
+    list(_levels(*args))
+    return seen
+
+
+def as_set(group):
+    return {(tuple(phi), reverses) for phi, reverses in group}
+
+
 class TestCopyTest:
     def test_copy_exactly_when_the_key_is_equal(self, full_levels):
-        # every insertion of every parent of the full levels up to order 12,
-        # tested against each kept key with the child's face lengths
-        copies = others = 0
+        # every insertion of every parent of the full levels up to order 12:
+        # the key read off the child's arrays, with the reversed rotation
+        # read off the parent's, is the built child's canonical key, so a
+        # child is a copy exactly when its key is already in the level
+        tried, keys = 0, set()
         for n in range(4, 13, 2):
-            bucket = {}
-            for key, text in full_levels[n]:
-                m = parse_map(text, allow_parallel=True)
-                bucket.setdefault(tuple(sorted(len(f) for f in m.faces)), []).append(key)
             for _, text in full_levels[n - 2]:
                 parent = parse_map(text, allow_parallel=True)
+                D = parent.dart_count
+                prev = (reversed_rotation(parent._next)
+                        + [D + 1, D + 4, D + 3, D + 5, D, D + 2])
                 for f, i, j, a, b in every_insertion(parent):
                     twin, origin, nxt = child_arrays(parent, a, b)
+                    assert prev == reversed_rotation(nxt)
                     key = canonical_form(insert_edge_across_face(parent, f, i, j))
-                    lengths, roots = lengths_and_roots(twin, nxt)
-                    kept = bucket[lengths]
-                    assert key in kept
-                    for other in kept:
-                        copy = _walks_to(twin, origin, nxt, roots, [walk_code_of(other)])
-                        assert copy == (other == key), (text, f, i, j, other)
-                        copies += copy
-                        others += not copy
-        assert copies == 970 + 185 + 50 + 9 + 5100 and others > 0
+                    assert array_key(twin, origin, nxt, prev) == key, (text, f, i, j)
+                    tried += 1
+                    keys.add(key)
+        assert tried == 6314
+        assert keys == {key for n in range(4, 13, 2) for key, _ in full_levels[n]}
 
     def test_a_reflected_copy_of_a_chiral_map_is_rejected(self, full_levels):
-        # the first kept map with no reversing automorphism, and the first
-        # insertion whose child is isomorphic to it only by reflection
+        # the first insertion whose child is isomorphic to a kept map with
+        # no reversing automorphism only by reflection has that map's key
         for n in range(4, 13, 2):
-            chiral = {key for key, text in full_levels[n]
-                      if not any(rev for _, rev in _automorphisms(
-                          parse_map(text, allow_parallel=True)))}
+            sides = {}
+            for key, text in full_levels[n]:
+                m = parse_map(text, allow_parallel=True)
+                _, reached = array_walks(m._twin, m._origin, m._next, m.mirrored()._next)
+                if len({o for o, _ in reached}) == 1:
+                    sides[key] = reached[0][0]
             for _, text in full_levels[n - 2]:
                 parent = parse_map(text, allow_parallel=True)
                 for f, i, j, a, b in every_insertion(parent):
-                    key = canonical_form(insert_edge_across_face(parent, f, i, j))
-                    if key not in chiral:
-                        continue
                     twin, origin, nxt = child_arrays(parent, a, b)
-                    code = walk_code_of(key)
-                    roots = lengths_and_roots(twin, nxt)[1]
-                    if any(_walk_code(twin, origin, nxt, d, code) == code
-                           for d in roots):
-                        continue   # a copy in its own orientation
-                    assert _walks_to(twin, origin, nxt, roots, [code])
-                    return
+                    prev = reversed_rotation(nxt)
+                    key = array_key(twin, origin, nxt, prev)
+                    _, reached = array_walks(twin, origin, nxt, prev)
+                    if key in sides and {o for o, _ in reached} == {1 - sides[key]}:
+                        assert key == canonical_form(
+                            insert_edge_across_face(parent, f, i, j))
+                        return
         pytest.fail("no child isomorphic to a chiral map only by reflection")
 
     def test_one_child_built_per_key_kept(self, monkeypatch):
@@ -440,10 +463,16 @@ class TestCopyTest:
         kept = {n: len(level) for n, level in _levels(12) if n > 2}
         assert built == kept == {4: 2, 6: 4, 8: 14, 10: 54, 12: 291}
 
-    def test_a_missed_copy_fails_loudly(self, monkeypatch):
-        monkeypatch.setattr(harness, "_walks_to", lambda *args: False)
-        with pytest.raises(AssertionError):
-            list(_levels(6))
+    @pytest.mark.parametrize("args,parents", [((12,), 1 + 2 + 4 + 14 + 54),
+                                              ((12, 12), 1 + 2 + 4 + 14 + 39)],
+                             ids=["full", "top-budget"])
+    def test_each_kept_map_hands_on_its_automorphisms(self, monkeypatch, args, parents):
+        seen = handed_groups(monkeypatch, *args)
+        assert len(seen) == parents
+        for text, group in seen:
+            assert as_set(group) == as_set(_automorphisms(
+                parse_map(text, allow_parallel=True)))
+            assert len(as_set(group)) == len(group)
 
 
 def rooted_maps(maps):

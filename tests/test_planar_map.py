@@ -1,3 +1,6 @@
+import random
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -201,6 +204,111 @@ def reference_find_bridges(m):
                     if low[v] > disc[pv]:
                         bridges.append(m.edge_id(in_dart))
     return bridges
+
+
+def reference_from_neighbor_lists(lists, allow_parallel=False):
+    """The two-pass pairing from_neighbor_lists replaced: every dart of a
+    vertex pair collected first, then the k-th occurrence of v in u's
+    rotation paired with the (count-1-k)-th of u in v's."""
+    n = len(lists)
+    origin = []
+    dart_ids = []
+    k = 0
+    for u, row in enumerate(lists):
+        for v in row:
+            if not 0 <= v < n:
+                raise MalformedInput(
+                    f"neighbor {v + 1} out of range at vertex {u + 1}")
+            origin.append(u)
+        dart_ids.append(list(range(k, k + len(row))))
+        k += len(row)
+    if not allow_parallel:
+        for u, row in enumerate(lists):
+            if len(set(row)) != len(row):
+                raise DuplicateNeighbor(f"vertex {u + 1} repeats a neighbor")
+            if u in row:
+                raise DuplicateNeighbor(f"vertex {u + 1} lists itself")
+    slots = {}
+    for u, row in enumerate(lists):
+        for i, v in enumerate(row):
+            slots.setdefault((min(u, v), max(u, v)), []).append(dart_ids[u][i])
+    twin = [-1] * len(origin)
+    for (u, v), ds in slots.items():
+        if u == v:
+            if len(ds) % 2:
+                raise NonReciprocal(f"loop at {u + 1} listed an odd number of times")
+            m = len(ds)
+            for i in range(m // 2):
+                a, b = ds[i], ds[m - 1 - i]
+                twin[a], twin[b] = b, a
+        else:
+            at_u = [d for d in ds if origin[d] == u]
+            at_v = [d for d in ds if origin[d] == v]
+            if len(at_u) != len(at_v):
+                raise NonReciprocal(
+                    f"vertices {u + 1} and {v + 1} disagree about their shared edges")
+            m = len(at_u)
+            for i in range(m):
+                a, b = at_u[i], at_v[m - 1 - i]
+                twin[a], twin[b] = b, a
+    nxt = [-1] * len(origin)
+    for u in range(n):
+        ds = dart_ids[u]
+        for i, d in enumerate(ds):
+            nxt[d] = ds[(i + 1) % len(ds)]
+    return RotationMap(twin, origin, nxt, n)
+
+
+def outcome(build, lists, allow_parallel):
+    """The dart arrays a build gives, or the class and message it raises."""
+    try:
+        m = build(lists, allow_parallel=allow_parallel)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return m._twin, m._origin, m._next
+
+
+class TestNeighborListPairing:
+    def test_pairs_as_the_reference_on_the_levels_and_their_mirrors(self):
+        texts = 0
+        for _, level in _levels(12):
+            for _, text in level:
+                m = parse_map(text, allow_parallel=True)
+                for m2 in (m, m.mirrored()):
+                    lists = [[m2.head(d) for d in m2.vertex_darts(v)]
+                             for v in range(m2.vertex_count)]
+                    assert (outcome(from_neighbor_lists, lists, True)
+                            == outcome(reference_from_neighbor_lists, lists, True))
+                texts += 1
+        assert texts == 366
+
+    def test_same_outcome_as_the_reference_on_random_rotation_systems(self):
+        # loops and parallel edges, whole, with one entry dropped or with
+        # one out of range: a single fault keeps its class and message
+        rng = random.Random(5)
+        faults = Counter()
+        for _ in range(3000):
+            n = rng.randint(1, 6)
+            rows = [[] for _ in range(n)]
+            for _ in range(rng.randint(1, 9)):
+                u = rng.randrange(n)
+                v = u if rng.random() < 0.2 else rng.randrange(n)
+                rows[u].append(v)
+                rows[v].append(u)
+            for row in rows:
+                rng.shuffle(row)
+            fault = rng.random()
+            row = rng.choice([row for row in rows if row])
+            if fault < 0.3:
+                row.pop(rng.randrange(len(row)))
+            elif fault < 0.4:
+                row[rng.randrange(len(row))] = rng.choice((-1, n))
+            for allow in (True, False):
+                got = outcome(from_neighbor_lists, rows, allow)
+                assert got == outcome(reference_from_neighbor_lists, rows, allow), rows
+                faults[got[0] if isinstance(got[0], type) else "built"] += 1
+        assert set(faults) == {"built", NonReciprocal, DuplicateNeighbor,
+                               MalformedInput}, faults
 
 
 class TestRenumberedAsParsed:
