@@ -3,8 +3,8 @@
 
     PYTHONPATH=src python3 scripts/claims_n18.py
 
-A long run, kept out of the test suite: about 80 s and 350 MiB on a
-2-core x86-64 VM.  It builds corpus(18), about 20 s of that, and checks
+A long run, kept out of the test suite: about 65 s and 360 MiB on a
+2-core x86-64 VM.  It builds corpus(18), about 18 s of that, and checks
 order 18 against its anchors: 407,802 rooted simple maps, 118,668 rooted
 3-connected maps (OEIS A000260) and 1,249 3-connected maps up to
 reflection (OEIS A000109).  If one fails it exits 1 before any claim runs.  Then it runs

@@ -60,8 +60,9 @@ from .dscc import EvenSubgraph, trail_decompose
 from .kempe import (ANOMALY_NO_TAIT, Inverted, Pattern, PreparedMap,
                     ReductionTrace, Topology, cycle_through, find_chain,
                     replay_inversions, run_procedure)
-from .planar_map import (MapError, RotationMap, _parse_order, _renumbered_as_parsed,
-                         parse_map, serialize_map, validate)
+from .planar_map import (MapError, RotationMap, _boundary_walk, _face_walk,
+                         _parse_order, _renumbered_as_parsed, parse_map,
+                         serialize_map, validate)
 
 
 class HarnessError(MapError):
@@ -416,24 +417,6 @@ def _simple_maps(level: Iterable[tuple[str, str]]) -> Iterator[RotationMap]:
             yield m
 
 
-def _face_walk(twin: Sequence[int], nxt: Sequence[int]
-               ) -> tuple[list[int], list[int]]:
-    """The least dart of every face, ascending, and the face of every dart,
-    faces numbered in that order as ``RotationMap`` numbers them: one pass
-    over the darts."""
-    face_of = [-1] * len(twin)
-    leasts: list[int] = []
-    for d0 in range(len(twin)):
-        if face_of[d0] < 0:
-            f = len(leasts)
-            leasts.append(d0)
-            d = d0
-            while face_of[d] < 0:
-                face_of[d] = f
-                d = nxt[twin[d]]
-    return leasts, face_of
-
-
 def generate(config: GenConfig) -> Iterator[RotationMap]:
     """Stream corpus maps; every emitted map passes validate with all flags.
 
@@ -448,8 +431,8 @@ def generate(config: GenConfig) -> Iterator[RotationMap]:
     least darts of the finished arrays.  Those arrays are then renumbered
     as ``parse_map`` numbers the map's text (``_renumbered_as_parsed``)
     and built once: one ``RotationMap`` per emitted map, with no text
-    round trip.  That numbering is the parse's only for a map without
-    parallel edges, which ``validate``'s ``simple`` flag asserts.
+    round trip.  That numbering is the parse's for a bridgeless cubic map
+    other than the dipole, which ``validate`` asserts.
     """
     if config.mode == "exhaustive":
         yield from _simple_maps(_exhaustive_level(config.vertex_count,
@@ -459,14 +442,10 @@ def generate(config: GenConfig) -> Iterator[RotationMap]:
     k4 = parse_map(K4_TEXT)
     for _ in range(config.count):
         twin, origin, nxt = list(k4._twin), list(k4._origin), list(k4._next)
-        leasts = [f.darts[0] for f in k4.faces]
+        leasts = list(k4._leasts)
         nverts = k4.vertex_count
         while nverts < config.vertex_count:
-            w = [leasts[rng.randrange(len(leasts))]]
-            d = nxt[twin[w[0]]]
-            while d != w[0]:
-                w.append(d)
-                d = nxt[twin[d]]
+            w = _boundary_walk(twin, nxt, leasts[rng.randrange(len(leasts))])
             i = rng.randrange(len(w))
             j = rng.randrange(len(w))
             if i == j:
@@ -477,7 +456,7 @@ def generate(config: GenConfig) -> Iterator[RotationMap]:
             bisect.insort(leasts, min(w[i + 1:j + 1]))
         assert _face_walk(twin, nxt)[0] == leasts
         m = _renumbered_as_parsed(twin, origin, nxt, nverts)
-        assert validate(m).all_ok   # simple, so numbered as the parse of its text
+        assert validate(m).all_ok   # so numbered as the parse of its text
         yield m
 
 
@@ -648,11 +627,12 @@ def _judge_chain_existence(m: RotationMap, three_connected: bool,
     where it returns, so the first test says the trail and the walk
     close the same passage.
     """
+    at = {"pentagon": tr.pentagon, "edge": list(tr.deleted_edge)}
     if tr.initial_coloring is None or tr.contracted_map is None:
-        return {"pentagon": tr.pentagon, "skipped": "no coloring"}, True, None
+        return {**at, "skipped": "no coloring"}, True, None
     cmap, hub, ec = tr.contracted_map, tr.hub, tr.initial_coloring
     if any(cmap.head(d) == hub for d in cmap.vertex_darts(hub)):
-        return {"pentagon": tr.pentagon, "skipped": "loop at hub"}, True, None
+        return {**at, "skipped": "loop at hub"}, True, None
     ok = True
     checked = 0
     for pair, tag in ((1 | 4, EdgeColor.BLUE), (2 | 4, EdgeColor.YELLOW)):
@@ -674,18 +654,16 @@ def _judge_chain_existence(m: RotationMap, three_connected: bool,
             chain = find_chain(cmap, ec, cmap.edge_id(depart), pair)
             if back not in cycle.edges or back not in chain.edges:
                 ok = False
-    return ({"pentagon": tr.pentagon, "cycles_checked": checked}, ok,
-            {"pentagon": tr.pentagon, "edge": list(tr.deleted_edge)})
+    return {**at, "cycles_checked": checked}, ok, at
 
 
 def _judge_inversion_safety(m: RotationMap, three_connected: bool,
                             tr: ReductionTrace) -> Judgement:
     """Replay the trace, validating parity and properness after each step."""
+    at = {"pentagon": tr.pentagon, "edge": list(tr.deleted_edge)}
     if tr.initial_coloring is None:
-        return {"pentagon": tr.pentagon, "skipped": "no coloring"}, True, None
-    return ({"pentagon": tr.pentagon, "inversions": len(tr.inversions)},
-            replay_inversions(tr),
-            {"pentagon": tr.pentagon, "edge": list(tr.deleted_edge)})
+        return {**at, "skipped": "no coloring"}, True, None
+    return {**at, "inversions": len(tr.inversions)}, replay_inversions(tr), at
 
 
 def _judge_no_recurrence(m: RotationMap, three_connected: bool,

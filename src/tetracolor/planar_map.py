@@ -3,9 +3,10 @@
 A map is stored dart-wise: every edge contributes two darts (half-edges),
 ``twin`` swaps the two darts of an edge, ``origin`` gives a dart's start
 vertex, and ``next_at_vertex`` walks the darts around their origin in
-clockwise order.  Faces are the orbits of ``d -> next(twin(d))`` and are
-derived eagerly; with that convention a bounded face is walked with its
-interior on the left.
+clockwise order.  Faces are the orbits of ``d -> next(twin(d))``: a build
+numbers them with one walk that gives each dart its face, and the
+boundary walks are made when first read.  With that convention a
+bounded face is walked with its interior on the left.
 
 Maps are immutable.  The two structural surgeries (edge deletion with
 vertex suppression, face contraction) return a new map together with the
@@ -100,28 +101,58 @@ class RotationMap:
     """A planar map given by its rotation system.
 
     Construction validates the dart structure (twin is a fixed-point-free
-    involution, the rotation is a single cycle per vertex) and derives
-    faces.  Numbering is canonical: faces are ordered by their smallest
+    involution, the rotation is a single cycle per vertex) in the pass
+    that collects each vertex's darts, and numbers the faces with one
+    walk (``_face_walk``); ``faces`` builds its ``Face`` walks when first
+    read.  Numbering is canonical: faces are ordered by their smallest
     dart id and each boundary walk starts at that dart.
     """
 
-    __slots__ = ("_twin", "_origin", "_next", "_vertex_count", "_faces",
-                 "_face_of", "_vertex_darts", "_edges")
+    __slots__ = ("_twin", "_origin", "_next", "_vertex_count", "_leasts",
+                 "_faces", "_face_of", "_vertex_darts", "_edges")
 
     def __init__(self, twin: Sequence[int], origin: Sequence[int],
                  next_at_vertex: Sequence[int], vertex_count: int):
-        n_darts = len(twin)
-        if len(origin) != n_darts or len(next_at_vertex) != n_darts:
+        n = len(twin)
+        if len(origin) != n or len(next_at_vertex) != n:
             raise MalformedInput("dart arrays disagree in length")
-        if n_darts % 2:
+        if n % 2:
             raise MalformedInput("odd number of darts")
-        self._twin = tuple(twin)
-        self._origin = tuple(origin)
-        self._next = tuple(next_at_vertex)
+        self._twin = twin = tuple(twin)
+        self._origin = origin = tuple(origin)
+        self._next = nxt = tuple(next_at_vertex)
         self._vertex_count = vertex_count
-        self._check_structure()
-        self._vertex_darts = self._collect_vertex_darts()
-        self._faces, self._face_of = self._derive_faces()
+        # a vertex's rotation is walked from the first dart the loop meets
+        # that no walk has visited: its least dart
+        rotations: list[tuple[int, ...]] = [()] * vertex_count
+        seen = [False] * n
+        for d0 in range(n):
+            t = twin[d0]
+            if t == d0 or not 0 <= t < n or twin[t] != d0:
+                raise MalformedInput(f"twin is not a fixed-point-free involution at dart {d0}")
+            if seen[d0]:
+                continue
+            v = origin[d0]
+            if not 0 <= v < vertex_count:
+                raise MalformedInput(f"dart {d0} has origin out of range")
+            d, darts = d0, []
+            while True:
+                seen[d] = True
+                darts.append(d)
+                nx = nxt[d]
+                if not 0 <= nx < n or origin[nx] != v:
+                    raise MalformedInput(f"rotation leaves vertex at dart {d}")
+                if nx == d0:
+                    break
+                if seen[nx]:
+                    raise MalformedInput("rotation is not a permutation")
+                d = nx
+            if rotations[v]:
+                raise MalformedInput("rotation at some vertex splits into several cycles")
+            rotations[v] = tuple(darts)
+        self._vertex_darts = tuple(rotations)
+        self._leasts, self._face_of = _face_walk(twin, nxt)
+        self._faces: Optional[tuple[Face, ...]] = None
         self._edges: Optional[tuple[int, ...]] = None
 
     # -- basic accessors ---------------------------------------------------
@@ -140,10 +171,14 @@ class RotationMap:
 
     @property
     def face_count(self) -> int:
-        return len(self._faces)
+        return len(self._leasts)
 
     @property
     def faces(self) -> tuple[Face, ...]:
+        """The face walks, each from its least dart, walked on first use."""
+        if self._faces is None:
+            self._faces = tuple(Face(f, tuple(_boundary_walk(self._twin, self._next, d)))
+                                for f, d in enumerate(self._leasts))
         return self._faces
 
     def twin(self, d: int) -> int:
@@ -205,69 +240,36 @@ class RotationMap:
             prev[self._next[d]] = d
         return RotationMap(self._twin, self._origin, prev, self._vertex_count)
 
-    # -- structure checks and face derivation --------------------------------
-
-    def _check_structure(self) -> None:
-        twin, nxt, origin = self._twin, self._next, self._origin
-        n, nv = len(twin), self._vertex_count
-        seen_next = [False] * n
-        for d in range(n):
-            t = twin[d]
-            if t == d or not 0 <= t < n or twin[t] != d:
-                raise MalformedInput(f"twin is not a fixed-point-free involution at dart {d}")
-            nx = nxt[d]
-            if not 0 <= nx < n or origin[nx] != origin[d]:
-                raise MalformedInput(f"rotation leaves vertex at dart {d}")
-            if not 0 <= origin[d] < nv:
-                raise MalformedInput(f"dart {d} has origin out of range")
-            if seen_next[nx]:
-                raise MalformedInput("rotation is not a permutation")
-            seen_next[nx] = True
-
-    def _collect_vertex_darts(self) -> tuple[tuple[int, ...], ...]:
-        nxt = self._next
-        first: list[Optional[int]] = [None] * self._vertex_count
-        for d, v in enumerate(self._origin):
-            if first[v] is None:
-                first[v] = d
-        out: list[tuple[int, ...]] = []
-        covered = 0
-        for d0 in first:
-            if d0 is None:
-                out.append(())
-                continue
-            darts = [d0]
-            cur = nxt[d0]
-            while cur != d0:
-                darts.append(cur)
-                cur = nxt[cur]
-            covered += len(darts)
-            out.append(tuple(darts))
-        if covered != self.dart_count:
-            raise MalformedInput("rotation at some vertex splits into several cycles")
-        return tuple(out)
-
-    def _derive_faces(self) -> tuple[tuple[Face, ...], tuple[int, ...]]:
-        twin, nxt = self._twin, self._next
-        face_of = [-1] * len(twin)
-        walks: list[tuple[int, ...]] = []
-        for d0 in range(len(twin)):
-            if face_of[d0] >= 0:
-                continue
-            walk = []
-            f = len(walks)
-            cur = d0
-            while face_of[cur] < 0:
-                face_of[cur] = f
-                walk.append(cur)
-                cur = nxt[twin[cur]]
-            walks.append(tuple(walk))
-        faces = tuple(Face(i, w) for i, w in enumerate(walks))
-        return faces, tuple(face_of)
-
     def __repr__(self) -> str:
         return (f"RotationMap(V={self._vertex_count}, E={self.edge_count}, "
                 f"F={self.face_count})")
+
+
+def _face_walk(twin: Sequence[int], nxt: Sequence[int]
+               ) -> tuple[list[int], list[int]]:
+    """The least dart of every face, ascending, and the face of every dart,
+    faces numbered in that order: one pass over the darts."""
+    face_of = [-1] * len(twin)
+    leasts: list[int] = []
+    for d0 in range(len(twin)):
+        if face_of[d0] < 0:
+            f = len(leasts)
+            leasts.append(d0)
+            d = d0
+            while face_of[d] < 0:
+                face_of[d] = f
+                d = nxt[twin[d]]
+    return leasts, face_of
+
+
+def _boundary_walk(twin: Sequence[int], nxt: Sequence[int], d0: int) -> list[int]:
+    """The boundary walk of dart d0's face, from d0."""
+    walk = [d0]
+    d = nxt[twin[d0]]
+    while d != d0:
+        walk.append(d)
+        d = nxt[twin[d]]
+    return walk
 
 
 # ---------------------------------------------------------------------------
@@ -278,12 +280,19 @@ def from_neighbor_lists(lists: Sequence[Sequence[int]],
                         allow_parallel: bool = False) -> RotationMap:
     """Build a map from 0-based clockwise neighbor lists.
 
-    Parallel edges pair the k-th occurrence of v in u's rotation with the
-    (count-1-k)-th occurrence of u in v's rotation, the pairing a plane
-    bundle of parallel edges induces: in one pass over the rows, a dart
-    toward a later vertex waits on a stack, and each dart back takes the
-    last one waiting.  A loop at v appears twice in v's own list and is
-    paired the same way within that list.
+    Each row's occurrences of a neighbor v are read cyclically, from just
+    after the row's last entry that names another vertex, since a row may
+    start inside a bundle of parallel edges; a row naming only v keeps its
+    order.  The k-th occurrence of v in u's row so read pairs with the
+    (count-1-k)-th of u in v's, the reversal a plane bundle shows at its
+    two ends.  On the text of a bridgeless cubic map this is the map's own
+    pairing: two parallel edges there bound a digon, so the entries read
+    from lie outside it at both ends.  The dipole is the exception: its
+    triple edge names nothing else, and any cyclic pairing of it is a
+    plane dipole.  In one pass over the rows, a dart toward a later vertex
+    waits on a stack, and each dart back takes the last one waiting.  A
+    loop at v appears twice in v's own list and is paired nested within
+    that list, in row order.
     """
     n = len(lists)
     for u, row in enumerate(lists):
@@ -306,7 +315,13 @@ def from_neighbor_lists(lists: Sequence[Sequence[int]],
         k = len(origin)
         origin += [u] * len(row)
         loops = []
-        for i, v in enumerate(row):
+        # only the bundle toward the last entry can run past the row's end
+        s = len(row)
+        if row and row[-1] != u:
+            while s and row[s - 1] == row[-1]:
+                s -= 1
+        for i in (*range(s, len(row)), *range(s)):
+            v = row[i]
             d = k + i
             nxt[d] = k + (i + 1) % len(row)
             if v > u:
@@ -412,9 +427,9 @@ def _renumbered_as_parsed(twin: Sequence[int], origin: Sequence[int],
     text (``_parse_order``), with twin and next mapped through that
     permutation; built once.
 
-    Equal to ``parse_map(serialize_map(m))`` only when the map has no
-    parallel edges or loops: the parse pairs the darts of parallel edges
-    by their position in the text, not by the given twin.
+    Equal to ``parse_map(serialize_map(m))`` on every bridgeless cubic
+    map but the dipole (``from_neighbor_lists``); elsewhere the parse may
+    pair the darts of parallel edges otherwise than the given twin.
     """
     order, new = _parse_order(origin, nxt, vertex_count)
     return RotationMap([new[twin[d]] for d in order], [origin[d] for d in order],

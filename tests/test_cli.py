@@ -34,6 +34,16 @@ def test_validate_ok(capsys):
     assert "bridgeless: True" in out
 
 
+def test_validate_parses_a_mirrored_multigraph_as_planar(tmp_path, capsys):
+    # the mirror of an order-4 level map: rows 2 and 4 start inside a
+    # bundle of parallel edges
+    m = tmp_path / "mirror.map"
+    m.write_text("4\n1: 3 2 2\n2: 1 4 1\n3: 1 4 4\n4: 3 2 3\n")
+    assert main(["validate", "--allow-parallel", str(m)]) == 1
+    out = capsys.readouterr().out
+    assert "faces: 4" in out and "planar: True" in out and "simple: False" in out
+
+
 def test_validate_flags_failure(tmp_path, capsys):
     bad = tmp_path / "edge.map"
     bad.write_text("2\n1: 2\n2: 1\n")

@@ -18,13 +18,14 @@ from tetracolor.harness import (_DIPOLE, CLAIM_IDS, K4_TEXT, GenConfig,
                                 HarnessError, InstanceRecord, OddOrder,
                                 UnknownClaim, UnsupportedFormat,
                                 _add_chord, _automorphisms, _child_excess,
-                                _exhaustive_level, _face_walk, _least_roots,
+                                _exhaustive_level, _least_roots,
                                 _levels, canonical_form,
                                 check_claim, corpus, emit_report, generate,
                                 insert_edge_across_face, is_three_connected)
 from tetracolor.kempe import PreparedMap
-from tetracolor.planar_map import (MapError, RotationMap, from_neighbor_lists,
-                                   parse_map, serialize_map, validate)
+from tetracolor.planar_map import (MapError, RotationMap, _face_walk,
+                                   from_neighbor_lists, parse_map, serialize_map,
+                                   validate)
 
 
 def neighbor_lists(m):
@@ -514,10 +515,10 @@ REPORTS12 = {
            "4fcf9633f23bca6eca6e9ce141a69ffe1ac4ac769479ccd5a9a486f00c1ed468",
            "0bdf1b1b1720c663355b2f825b302047542fe7461d3a2f2cce22f95266181d84"),
     "C3": ("30acfcf8c09414250aec2355329aac0383184922dfa739dc63489906c11810ec",
-           "dda66f6a893656d790b8dd63d8fa1e461e6b28160f9e396211c10298bfac6f3c",
+           "c5d770d2dfe465bb1bb5a32dab62a54e38dbc15316669e83c9b17a764864d057",
            "1e52bc60bde6d8f394e7f81c67b8ec8c80de4330023240ae17425565e9253fff"),
     "C4": ("bda2d09f2f14bb2c3c118243b8b9854ec6f09530b0d84a56b7ec30c3b601b24a",
-           "4ba6be08584de5591ab8925f26b052e8318d956a50689c75b1c277b74d7bd4cb",
+           "ebea38a5bd9ee59ad231377787b516ff7218a56ce072b995f6f2086e10985a1a",
            "28ede374a7f45790542e791926ac504d3e6dd4e89cdbd7eead37442c87ff7ebc"),
     "C5": ("bd0e75505994ff4facd8b5608995b2c7078db30e7ba3b7ea063d39b2675b82cf",
            "30d776c43f6745d5d7b3baa6ffa184e98e66ec9b2efb55894d30725cfe0652d0",

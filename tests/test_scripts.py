@@ -1,3 +1,4 @@
+import importlib
 import importlib.util
 import json
 import sys
@@ -6,7 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from tetracolor import harness
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+BENCH = SCRIPTS.parent / "bench"
 
 
 def _load(name):
@@ -95,3 +99,25 @@ def test_bench_pairs_exits_1_and_names_a_changed_digest(
     out = capsys.readouterr().out
     assert ("output digests differ: sample" in out) == bool(code)
     assert (tmp_path / "BENCH_t_sweep_change.json").exists()
+
+
+def test_a_traced_corpus_and_claim_pass_make_every_pinned_call(recurrence14):
+    # bench/run.py names the calls a traced gen or sweep run must see; a
+    # refactor that drops one should fail here, not only in a traced run
+    sys.path.insert(0, str(BENCH))
+    try:
+        run = importlib.import_module("run")
+        tracer = importlib.import_module("tracer").Tracer()
+    finally:
+        sys.path.remove(str(BENCH))
+    tracer.install()
+    try:
+        harness.corpus(8, n_min=8)
+        harness._claim_rows.cache_clear()
+        for claim in harness.CLAIM_IDS:
+            harness.emit_report(harness.check_claim(claim, [recurrence14]))
+    finally:
+        tracer.uninstall()
+    called = tracer.stats()
+    pinned = (*run.REQUIRED_CALLS["gen"], *run.REQUIRED_CALLS["sweep"])
+    assert [name for name in pinned if name not in called] == []
